@@ -53,8 +53,6 @@ def _megafleet_cmd(cache_dir: str, *extra: str) -> list:
         str(SHARDS),
         "--workers",
         str(WORKERS),
-        "--executor",
-        "workqueue",
         "--cache",
         cache_dir,
         "--live",

@@ -24,8 +24,9 @@ Nine subcommands cover the whole study:
   far the headline figures drift — the degradation-curve experiment
   that certifies the pipeline degrades gracefully;
 * ``megafleet`` — run one large campaign as K deterministic
-  per-phone-range shards with streaming merge: peak memory is bounded
-  by the largest shard, and the merged summary is bit-identical to the
+  per-phone-range shards on work-stealing workers, each durably
+  committed before a streaming merge: peak memory is bounded by the
+  largest shard, and the merged summary is bit-identical to the
   monolithic run (``--verify`` proves it in-process).  ``--live``
   streams worker heartbeats into a durable op-log and prints rolling
   fleet KPIs without changing a single result bit;
@@ -50,7 +51,7 @@ Usage::
         --workers 4 --output BENCH_megafleet.json
     python -m repro.cli megafleet --phones 50 --shards 5 --verify
     python -m repro.cli megafleet --phones 100000 --shards 64 --workers 8 \\
-        --executor workqueue --cache .mega/ --live
+        --cache .mega/ --live
     python -m repro.cli monitor .mega/ --interval 2
     python -m repro.cli monitor .mega/ --once
 """
@@ -71,11 +72,6 @@ from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
 from repro.experiments.config import CampaignConfig
-from repro.experiments.executors import (
-    EXECUTOR_POOL,
-    EXECUTOR_WORKQUEUE,
-    EXECUTORS,
-)
 from repro.experiments.perf import (
     check_counters,
     check_regression,
@@ -83,7 +79,6 @@ from repro.experiments.perf import (
     measure_campaign,
 )
 from repro.experiments.runner import run_campaigns
-from repro.experiments.shard import MERGE_AUTO, MERGE_MODES
 from repro.forum.corpus import CorpusConfig
 from repro.forum.study import run_forum_study
 from repro.logger.transfer import load_lines_from_dir
@@ -177,11 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--window", type=float, default=DEFAULT_WINDOW,
         help="panic/HL coalescence window in seconds (paper: 300)",
-    )
-    sweep.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution backend (default: pool when --workers > 1, "
-        "else serial)",
     )
     sweep.add_argument(
         "--live", action="store_true",
@@ -335,25 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     megafleet.add_argument(
         "--workers", type=int, default=4,
-        help="worker processes (1 = serial in-process)",
+        help="work-stealing worker processes (1 = serial in-process)",
     )
     megafleet.add_argument(
         "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
         help="ingest door for every shard (default: structured)",
-    )
-    megafleet.add_argument(
-        "--executor", choices=(EXECUTOR_POOL, EXECUTOR_WORKQUEUE),
-        default=EXECUTOR_POOL,
-        help="shard backend: 'pool' = static process-pool assignment; "
-        "'workqueue' = work-stealing queue workers with durable "
-        "commit-before-acknowledge (kill-9 resumable)",
-    )
-    megafleet.add_argument(
-        "--merge", choices=MERGE_MODES, default=MERGE_AUTO,
-        help="shard merge: 'memory' holds every shard result at once; "
-        "'streaming' (workqueue only) folds committed files one at a "
-        "time so parent RSS stays flat in --shards; 'auto' picks "
-        "streaming for workqueue (default: auto)",
     )
     megafleet.add_argument(
         "--retries", type=int, default=0,
@@ -368,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     megafleet.add_argument(
         "--spill", metavar="DIR", default=None,
-        help="directory for workqueue shard commits when no --cache is "
+        help="directory for shard commits when no --cache is "
         "given (default: a private temp dir, removed after the merge)",
     )
     megafleet.add_argument(
@@ -534,7 +510,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         configs,
         workers=args.workers,
         cache=cache,
-        executor=args.executor,
         on_complete=on_complete,
     )
 
@@ -785,8 +760,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             pipeline=args.pipeline,
             cache=cache,
             retries=args.retries,
-            executor=args.executor,
-            merge=args.merge,
             spill_dir=args.spill,
             weights=weights,
             live=args.live,
@@ -806,7 +779,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         "workers": args.workers,
         "pipeline": args.pipeline,
         "executor": result.executor,
-        "merge_mode": result.merge_mode,
         "counters": result.stats.to_dict(),
         "events_fired": result.events_fired,
         "events_per_second": round(result.events_fired / wall, 1)
@@ -848,8 +820,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         lines = [
             f"Mega-fleet: {args.phones} phones x {args.months:g} months, "
             f"{result.shard_count} shards x {args.workers} workers "
-            f"({result.executor} executor, {result.merge_mode} merge, "
-            f"{args.pipeline} ingest)",
+            f"({result.executor} executor, {args.pipeline} ingest)",
             f"wall time:       {wall:.2f}s",
             f"events/second:   {report['events_per_second']:,.0f} "
             f"({result.events_fired:,} events)",

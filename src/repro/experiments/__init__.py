@@ -7,8 +7,8 @@
   runner, plus :func:`run_campaigns_resilient` and its
   :class:`SweepManifest` of partial results and structured failures.
 * :mod:`cache`    — the on-disk summary cache for repeated sweeps.
-* :mod:`executors` — pluggable execution backends (serial, process
-  pool, work-stealing work queue) behind one :class:`Executor` face.
+* :mod:`executors` — execution backends (serial, work-stealing work
+  queue) behind one :class:`Executor` face.
 * :mod:`shard`    — sharded mega-fleet campaigns with work stealing,
   durable commits (kill-9 resumable), and spill-to-disk merge.
 * :mod:`paper`    — the paper's published numbers, as data.
@@ -24,13 +24,12 @@ from repro.experiments.compare import (
 )
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
     EXECUTOR_SERIAL,
     EXECUTOR_WORKQUEUE,
     EXECUTORS,
     Executor,
+    ExecutorOutcome,
     ExecutorStats,
-    PoolExecutor,
     SerialExecutor,
     WorkQueueExecutor,
     get_executor,
@@ -44,10 +43,6 @@ from repro.experiments.runner import (
     summarize_campaign,
 )
 from repro.experiments.shard import (
-    MERGE_AUTO,
-    MERGE_MEMORY,
-    MERGE_MODES,
-    MERGE_STREAMING,
     CommittedShard,
     MegafleetResult,
     MergedCampaign,
@@ -85,20 +80,15 @@ __all__ = [
     "Comparison",
     "ComparisonRow",
     "headline_comparison",
-    "EXECUTOR_POOL",
     "EXECUTOR_SERIAL",
     "EXECUTOR_WORKQUEUE",
     "EXECUTORS",
     "Executor",
+    "ExecutorOutcome",
     "ExecutorStats",
-    "PoolExecutor",
     "SerialExecutor",
     "WorkQueueExecutor",
     "get_executor",
-    "MERGE_AUTO",
-    "MERGE_MEMORY",
-    "MERGE_MODES",
-    "MERGE_STREAMING",
     "CommittedShard",
     "MegafleetResult",
     "MergedCampaign",

@@ -1,47 +1,43 @@
-"""Pluggable campaign executors: pool, work-stealing queue, serial.
+"""Campaign executors: the work-stealing queue and the serial loop.
 
-PR 5 broke the single-process *memory* ceiling; execution itself was
-still one hard-wired ``ProcessPoolExecutor`` fan-out inside the runner.
-This module lifts that choice behind an :class:`Executor` interface so
-the runner and the sharded mega-fleet path can swap backends without
-touching campaign logic — and so a multi-host backend can drop in
-later behind the same seam:
+The runner and the sharded mega-fleet path run their tasks through an
+:class:`Executor`, so a multi-host backend can later drop in behind the
+same seam without touching campaign logic.  Two backends exist:
 
 * :class:`SerialExecutor` (``"serial"``) — everything runs in-process,
-  in index order.  Also the graceful-degradation target every parallel
-  backend falls back to when worker processes cannot start (sandboxes,
-  restricted interpreters).
-* :class:`PoolExecutor` (``"pool"``) — the classic
-  ``ProcessPoolExecutor`` fan-out: static assignment, one future per
-  campaign, per-future watchdog.  Exactly the runner's historical
-  behaviour, now as one backend among several.
+  in index order.  ``workers == 1`` always resolves to it, and it is
+  the graceful-degradation target the queue falls back to when worker
+  processes cannot start (sandboxes, restricted interpreters).
 * :class:`WorkQueueExecutor` (``"workqueue"``) — N long-lived worker
-  processes pulling tasks from a coordinator-managed queue.  Dynamic
-  assignment alone fixes mild skew (a worker that finishes early just
-  pulls the next task); for *sharded* campaigns the coordinator also
-  performs **work stealing**: when the remaining work is concentrated
-  in one oversized phone range, an idle worker is handed half of the
-  largest pending range (split via ``FleetConfig.phone_range``) instead
-  of idling while one long-tailed shard gates the wall clock.  Workers
-  that die mid-task (``kill -9``, OOM) are detected by liveness
-  polling; their in-flight task is requeued and the worker respawned.
-  With a ``commit_dir``, workers durably commit each result to a
+  processes pulling tasks from a coordinator-managed queue; the only
+  parallel backend.  Dynamic assignment alone fixes mild skew (a
+  worker that finishes early just pulls the next task); for *sharded*
+  campaigns the coordinator also performs **work stealing**: when the
+  remaining work is concentrated in one oversized phone range, an idle
+  worker is handed half of the largest pending range (split via
+  ``FleetConfig.phone_range``) instead of idling while one long-tailed
+  shard gates the wall clock.  Workers that die mid-task (``kill -9``,
+  OOM) are detected by liveness polling; their in-flight task is
+  requeued and the worker respawned.  With a ``commit_dir``, workers
+  durably commit each result to a
   :class:`~repro.experiments.cache.CampaignCache` (atomic temp file +
   rename) *before* acknowledging it — the property that makes
   mega-fleet runs resumable after ``kill -9`` of the whole process
   tree — and only a tiny acknowledgement crosses the queue, keeping
   the parent's memory flat in shard count.
 
-Counters: every steal, task retry, worker restart, and watchdog fire is
-tallied in an :class:`ExecutorStats` (always, so reports and benchmarks
-can quote them with telemetry off) and mirrored into the ambient
-:class:`~repro.observability.telemetry.Telemetry` registry as labeled
-counters (``executor.steals_total`` etc.) when metrics are enabled.
+Counters: every steal, task retry, worker restart, watchdog fire, and
+serial fallback is tallied in an :class:`ExecutorStats` (always, so
+reports and benchmarks can quote them with telemetry off).  The layer
+that owns a run — the runner or the sharded campaign — mirrors the
+tallies into the ambient
+:class:`~repro.observability.telemetry.Telemetry` registry once, at the
+end of the run, as labeled counters (``executor.steals_total`` etc.)
+when metrics are enabled.
 """
 
 from __future__ import annotations
 
-import os
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -61,11 +57,10 @@ from repro.experiments.config import CampaignConfig
 from repro.observability.telemetry import Telemetry
 
 EXECUTOR_SERIAL = "serial"
-EXECUTOR_POOL = "pool"
 EXECUTOR_WORKQUEUE = "workqueue"
 
-#: Backend names accepted by ``get_executor`` (and the CLI flags).
-EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_POOL, EXECUTOR_WORKQUEUE)
+#: Backend names accepted by ``get_executor``.
+EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_WORKQUEUE)
 
 #: Never steal below this many phones: a split that produces slivers
 #: costs more in per-shard overhead than it recovers in balance.
@@ -86,10 +81,9 @@ class CampaignExecutionError(RuntimeError):
 
     ``traceback`` holds the worker-side traceback text (including the
     remote traceback when the failure crossed a process boundary) and
-    ``attempts`` how many tries the runner made, so a failed sweep
-    member is diagnosable without re-running it.  ``phone_range`` pins
-    the exact fleet slice that was in flight when a sharded run (or a
-    broken process pool) took the campaign down.
+    ``attempts`` how many tries were made, so a failed sweep member is
+    diagnosable without re-running it.  ``phone_range`` pins the exact
+    fleet slice that was in flight when a sharded run failed.
     """
 
     def __init__(
@@ -127,14 +121,24 @@ def format_failure(exc: BaseException) -> FailureInfo:
     return type(exc).__name__, str(exc), text
 
 
+#: (attribute, registry counter, help) for every :class:`ExecutorStats` tally.
+_STATS_COUNTERS = (
+    ("steals", "executor.steals_total", "phone ranges split for idle workers"),
+    ("task_retries", "executor.task_retries_total", "tasks re-dispatched after failure"),
+    ("resumed_shards", "executor.resumed_shards_total", "committed shards skipped at replan"),
+    ("worker_restarts", "executor.worker_restarts_total", "workers replaced after death or hang"),
+    ("watchdog_fires", "executor.watchdog_fires_total", "hung tasks reclaimed by the watchdog"),
+    ("serial_fallbacks", "executor.serial_fallbacks_total", "runs that fell back to serial"),
+)
+
+
 @dataclass
 class ExecutorStats:
     """Plain-integer tallies of one executor run.
 
     Kept outside the telemetry registry so reports and benchmark
     snapshots can always quote them — telemetry defaults to off — and
-    mirrored into labeled counters via :meth:`sample` when metrics are
-    enabled.
+    mirrored into labeled counters via :meth:`sample`, once per run.
     """
 
     backend: str = EXECUTOR_SERIAL
@@ -149,61 +153,67 @@ class ExecutorStats:
     worker_restarts: int = 0
     #: Hung tasks reclaimed by the per-task watchdog.
     watchdog_fires: int = 0
-    #: Values already mirrored into the registry — :meth:`sample` incs
-    #: only the delta, so repeated sampling never double-counts.
-    _mirrored: Dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: Parallel runs that ran in-process because workers could not start.
+    serial_fallbacks: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "executor.steals_total": self.steals,
-            "executor.task_retries_total": self.task_retries,
-            "executor.resumed_shards_total": self.resumed_shards,
-            "executor.worker_restarts_total": self.worker_restarts,
-            "executor.watchdog_fires_total": self.watchdog_fires,
-        }
+        snapshot: Dict[str, Any] = {"backend": self.backend}
+        for attr, name, _help in _STATS_COUNTERS:
+            snapshot[name] = getattr(self, attr)
+        return snapshot
 
     def sample(self, tel: Telemetry) -> None:
-        """Mirror the tallies into labeled registry counters.
+        """Add the tallies to labeled registry counters.
 
-        Only the delta since the last mirror is added, so sampling at
-        every layer boundary (executor, runner, sharded campaign) is
-        safe — the counters converge on the plain-integer tallies.
+        Not idempotent: the layer that owns the run calls it exactly
+        once, after the run.
         """
         if not tel.metrics:
             return
-        for name, help_text, value in (
-            ("executor.steals_total", "phone ranges split for idle workers", self.steals),
-            ("executor.task_retries_total", "tasks re-dispatched after failure", self.task_retries),
-            ("executor.resumed_shards_total", "committed shards skipped at replan", self.resumed_shards),
-            ("executor.worker_restarts_total", "workers replaced after death or hang", self.worker_restarts),
-            ("executor.watchdog_fires_total", "hung tasks reclaimed by the watchdog", self.watchdog_fires),
-        ):
-            delta = value - self._mirrored.get(name, 0)
-            if delta:
+        for attr, name, help_text in _STATS_COUNTERS:
+            value = getattr(self, attr)
+            if value:
                 tel.registry.counter(name, help=help_text).inc(
-                    float(delta), backend=self.backend
+                    float(value), backend=self.backend
                 )
-                self._mirrored[name] = value
+
+
+@dataclass
+class ExecutorOutcome:
+    """What one executor run produced, keyed by task id."""
+
+    completed: "Dict[Any, Tuple[CampaignConfig, Any]]" = field(
+        default_factory=dict
+    )
+    #: Task id -> (config, last failure, attempts made).
+    failed: "Dict[Any, Tuple[CampaignConfig, FailureInfo, int]]" = field(
+        default_factory=dict
+    )
+    #: Task id -> wall seconds of each attempt, in attempt order.
+    walls: "Dict[Any, List[float]]" = field(default_factory=dict)
+    #: Task ids the backend did not run, left for the runner's serial loop.
+    serial: List[Any] = field(default_factory=list)
+
+
+#: A sharded task: (phone range, shard config).
+ShardItem = Tuple[Tuple[int, int], CampaignConfig]
 
 
 class Executor:
     """One way of running many campaign tasks.
 
-    ``execute`` is the index-preserving map the multi-seed runner
-    drives: fill ``results[index]`` (or ``failed[index]``) for every
-    index in ``pending`` and return the indices that still need a
-    serial in-process attempt (all of them when the backend cannot
-    start, the unfinished tail when it breaks mid-way).  Backends never
-    raise for per-task failures — those land in ``failed`` so the
-    runner's retry and manifest machinery stays backend-agnostic.
+    :meth:`execute` is the index-preserving map the multi-seed runner
+    drives: run the ``pending`` indices of ``configs`` and return an
+    :class:`ExecutorOutcome`; indices in ``outcome.serial`` still need
+    an in-process attempt.  Backends never raise for per-task failures
+    — those land in ``outcome.failed`` so the runner's retry and
+    manifest machinery stays backend-agnostic.
+
+    :meth:`execute_shards` runs sharded tasks to durable completion in
+    a commit directory.  The base implementations are the serial ones.
     """
 
-    name: str = "?"
-    #: Whether the backend fans out at all (False => runner goes serial).
-    parallel: bool = False
+    name: str = EXECUTOR_SERIAL
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
@@ -215,141 +225,112 @@ class Executor:
         self,
         configs: Sequence[CampaignConfig],
         pending: Sequence[int],
-        results: List[Optional[Any]],
         task: Callable[..., Any],
         timeout: Optional[float],
-        failed: Dict[int, FailureInfo],
-        walls: Dict[int, List[float]],
-        watchdogs: Dict[int, Optional[float]],
         tel: Telemetry,
-        commit: Callable[[int, Any], None],
-    ) -> List[int]:
-        raise NotImplementedError
+        on_done: Callable[[int, Any], None],
+    ) -> ExecutorOutcome:
+        """Run ``pending``; ``on_done(index, result)`` fires as each lands,
+        so the runner commits a result before the run is over."""
+        return ExecutorOutcome(serial=list(pending))
+
+    def execute_shards(
+        self,
+        items: Sequence[ShardItem],
+        task: Callable[[CampaignConfig], Any],
+        commit_dir: str,
+        tel: Telemetry,
+        retries: int = 0,
+        timeout: Optional[float] = None,
+        splitter: Optional[
+            Callable[[CampaignConfig], Optional[Tuple[CampaignConfig, CampaignConfig]]]
+        ] = None,
+        size_fn: Optional[Callable[[CampaignConfig], int]] = None,
+        live_dir: Optional[str] = None,
+        progress: Optional[Callable[[Any], None]] = None,
+    ) -> List[ShardItem]:
+        """Run shard tasks to durable completion; returns the tiling.
+
+        Every returned ``(phone_range, config)`` pair has its result
+        committed in ``commit_dir`` (commit-before-acknowledge).  The
+        returned ranges may be *finer* than the submitted ones when
+        stealing split a long-tailed shard.  Raises
+        :class:`CampaignExecutionError` (with the offending
+        ``phone_range``) when a task exhausts its attempts.
+
+        With ``live_dir`` set, the coordinator heartbeats executor
+        state into the op-log and periodically folds the whole log
+        into a rolling :class:`~repro.observability.live.LiveSnapshot`
+        (writing ``metrics.prom`` and invoking ``progress``).
+        """
+        return _shard_tiling(
+            self._run_serial(list(items), task, commit_dir, retries, live_dir, progress)
+        )
+
+    def _run_serial(
+        self,
+        items: List[ShardItem],
+        task: Callable[[CampaignConfig], Any],
+        commit_dir: str,
+        retries: int,
+        live_dir: Optional[str],
+        progress: Optional[Callable[[Any], None]],
+    ) -> ExecutorOutcome:
+        """In-process shard loop with the queue's commit semantics."""
+        cache = CampaignCache(commit_dir)
+        outcome = ExecutorOutcome()
+        live = _live_coordinator(live_dir, self.stats, progress)
+        for key, config in items:
+            if live is not None:
+                live.tick(pending=len(items), inflight=1, workers=1)
+            walls = outcome.walls.setdefault(key, [])
+            attempts = 0
+            while True:
+                attempts += 1
+                start = perf_counter()
+                try:
+                    cache.put(config, task(config))
+                except Exception as exc:
+                    walls.append(perf_counter() - start)
+                    if attempts <= retries:
+                        self.stats.task_retries += 1
+                        continue
+                    outcome.failed[key] = (config, format_failure(exc), attempts)
+                else:
+                    walls.append(perf_counter() - start)
+                    outcome.completed[key] = (config, None)
+                break
+        if live is not None:
+            live.tick(force=True)
+            live.close()
+        return outcome
 
 
 class SerialExecutor(Executor):
-    """No fan-out: hand everything back to the runner's serial loop."""
-
-    name = EXECUTOR_SERIAL
-    parallel = False
-
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        return list(pending)
+    """No fan-out: the runner's serial loop, and in-process shards."""
 
 
-class PoolExecutor(Executor):
-    """Static ``ProcessPoolExecutor`` fan-out — the historical backend.
+def _live_coordinator(live_dir, stats, progress):
+    if live_dir is None:
+        return None
+    from repro.observability.live import LiveCoordinator
 
-    One future per campaign, submitted up front; a per-future watchdog
-    reclaims hung workers; a broken pool (killed worker, a sandbox
-    denying fork) hands the unfinished tail back for serial execution.
-    Completed results are committed to the cache *as they are observed*
-    so a crash of the parent loses only in-flight work.
-    """
+    return LiveCoordinator(live_dir, stats=stats, progress=progress)
 
-    name = EXECUTOR_POOL
-    parallel = True
 
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures import TimeoutError as FutureTimeoutError
-            from concurrent.futures.process import BrokenProcessPool
-
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-        except Exception:
-            return list(pending)
-
-        watchdog_series = (
-            tel.registry.counter(
-                "runner.watchdog_fires_total",
-                help="pooled workers reclaimed by the watchdog",
-            ).series()
-            if tel.metrics
-            else None
+def _shard_tiling(outcome: ExecutorOutcome) -> List[ShardItem]:
+    """The committed tiling in range order, or the first failure raised."""
+    if outcome.failed:
+        config, info, attempts = outcome.failed[min(outcome.failed)]
+        raise CampaignExecutionError(
+            index=-1,
+            seed=config.seed,
+            cause=f"{info[0]}: {info[1]}",
+            traceback=info[2],
+            attempts=attempts,
+            phone_range=config.fleet.phone_range,
         )
-        leftover: List[int] = []
-        try:
-            submitted_at = {index: perf_counter() for index in pending}
-            futures = {
-                index: executor.submit(task, configs[index]) for index in pending
-            }
-            broken = False
-            for index in pending:
-                if broken:
-                    leftover.append(index)
-                    continue
-                watchdogs[index] = timeout
-                try:
-                    with tel.span(
-                        "campaign.await",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                    ):
-                        results[index] = futures[index].result(timeout=timeout)
-                except BrokenProcessPool:
-                    # The pool died under us: finish the rest
-                    # in-process.  No watchdog ever guarded this
-                    # attempt, so unrecord it — but keep the identity
-                    # of the task that was in flight observable.
-                    broken = True
-                    watchdogs.pop(index, None)
-                    leftover.append(index)
-                    tel.instant(
-                        "process pool broke",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                        phone_range=list(
-                            configs[index].fleet.phone_range or ()
-                        ),
-                    )
-                except (FutureTimeoutError, TimeoutError):
-                    futures[index].cancel()
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    self.stats.watchdog_fires += 1
-                    if watchdog_series is not None:
-                        watchdog_series.value += 1.0
-                    tel.instant(
-                        "watchdog fire",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                    )
-                    failed[index] = (
-                        "WorkerTimeout",
-                        f"no result within {timeout}s (hung worker)",
-                        "",
-                    )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    failed[index] = format_failure(exc)
-                else:
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    commit(index, results[index])
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return leftover
+    return [(key, outcome.completed[key][0]) for key in sorted(outcome.completed)]
 
 
 # -- work-queue backend ---------------------------------------------------------
@@ -392,29 +373,15 @@ class _InFlight:
     started_at: float
 
 
-@dataclass
-class _QueueOutcome:
-    """What one coordinator run produced, keyed by task id."""
-
-    completed: "Dict[Any, Tuple[CampaignConfig, Any]]" = field(
-        default_factory=dict
-    )
-    failed: "Dict[Any, Tuple[CampaignConfig, FailureInfo, int]]" = field(
-        default_factory=dict
-    )
-    walls: "Dict[Any, List[float]]" = field(default_factory=dict)
-
-
 class WorkQueueExecutor(Executor):
     """Coordinator-scheduled worker processes with work stealing.
 
     The coordinator owns the pending task list and dispatches one task
     per idle worker; workers acknowledge over a shared upstream queue.
-    Three properties distinguish it from the static pool:
 
     * **dynamic balance** — a worker that finishes early immediately
-      pulls the next task, so an uneven plan no longer pins wall time
-      to the unluckiest static assignment;
+      pulls the next task, so an uneven plan never pins wall time to
+      the unluckiest static assignment;
     * **work stealing** — with a ``splitter``, an oversized task is
       halved at dispatch until it fits the current fair share
       (``remaining / (workers * oversubscribe)``), so one huge phone
@@ -429,7 +396,6 @@ class WorkQueueExecutor(Executor):
     """
 
     name = EXECUTOR_WORKQUEUE
-    parallel = True
 
     def __init__(
         self,
@@ -450,71 +416,47 @@ class WorkQueueExecutor(Executor):
             worker_restarts if worker_restarts is not None else 2 * workers
         )
 
+    def _fall_back(self, tel: Telemetry) -> None:
+        self.stats.serial_fallbacks += 1
+        tel.instant(
+            "serial fallback",
+            category="executor",
+            track="executor",
+            workers=self.workers,
+        )
+
     # -- runner integration (index-preserving map, no stealing) ---------
 
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        items: List[Tuple[Any, CampaignConfig]] = [
-            (index, configs[index]) for index in pending
-        ]
+    def execute(self, configs, pending, task, timeout, tel, on_done):
         try:
-            outcome = self._run(
-                items,
+            return self._run(
+                [(index, configs[index]) for index in pending],
                 task,
                 commit_dir=None,
                 tel=tel,
                 retries=0,
                 timeout=timeout,
-                splitter=None,
-                size_fn=None,
+                on_done=on_done,
             )
         except _QueueStartupError:
-            return list(pending)
-        for index, (config, payload) in outcome.completed.items():
-            results[index] = payload
-            commit(index, payload)
-        for index, (config, info, _attempts) in outcome.failed.items():
-            failed[index] = info
-            if info[0] == "WorkerTimeout":
-                watchdogs[index] = timeout
-        for index, attempts in outcome.walls.items():
-            walls.setdefault(index, []).extend(attempts)
-        self.stats.sample(tel)
-        return []
+            self._fall_back(tel)
+            return ExecutorOutcome(serial=list(pending))
 
     # -- sharded mode (stealing + durable commit) -----------------------
 
     def execute_shards(
         self,
-        items: Sequence[Tuple[Tuple[int, int], CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: str,
-        tel: Telemetry,
-        retries: int = 0,
-        timeout: Optional[float] = None,
-        splitter: Optional[
-            Callable[[CampaignConfig], Optional[Tuple[CampaignConfig, CampaignConfig]]]
-        ] = None,
-        size_fn: Optional[Callable[[CampaignConfig], int]] = None,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-    ) -> List[Tuple[Tuple[int, int], CampaignConfig]]:
-        """Run shard tasks to durable completion; returns the tiling.
-
-        Every returned ``(phone_range, config)`` pair has its result
-        committed in ``commit_dir`` (commit-before-acknowledge).  The
-        returned ranges may be *finer* than the submitted ones when
-        stealing split a long-tailed shard.  Raises
-        :class:`CampaignExecutionError` (with the offending
-        ``phone_range``) when a task exhausts its attempts.
-
-        With ``live_dir`` set, the coordinator heartbeats executor
-        state into the op-log and periodically folds the whole log
-        into a rolling :class:`~repro.observability.live.LiveSnapshot`
-        (writing ``metrics.prom`` and invoking ``progress``).
-        """
+        items,
+        task,
+        commit_dir,
+        tel,
+        retries=0,
+        timeout=None,
+        splitter=None,
+        size_fn=None,
+        live_dir=None,
+        progress=None,
+    ):
         try:
             with tel.span(
                 "executor.run",
@@ -536,71 +478,11 @@ class WorkQueueExecutor(Executor):
                     progress=progress,
                 )
         except _QueueStartupError:
+            self._fall_back(tel)
             outcome = self._run_serial(
-                list(items), task, commit_dir, retries,
-                live_dir=live_dir, progress=progress,
+                list(items), task, commit_dir, retries, live_dir, progress
             )
-        self.stats.sample(tel)
-        if outcome.failed:
-            key = sorted(outcome.failed, key=lambda k: tuple(k))[0]
-            config, info, attempts = outcome.failed[key]
-            raise CampaignExecutionError(
-                index=-1,
-                seed=config.seed,
-                cause=f"{info[0]}: {info[1]}",
-                traceback=info[2],
-                attempts=attempts,
-                phone_range=config.fleet.phone_range,
-            )
-        ordered = sorted(outcome.completed, key=lambda k: tuple(k))
-        return [(key, outcome.completed[key][0]) for key in ordered]
-
-    def _run_serial(
-        self,
-        items: List[Tuple[Any, CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: str,
-        retries: int,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-    ) -> _QueueOutcome:
-        """In-process fallback with identical commit semantics."""
-        cache = CampaignCache(commit_dir)
-        outcome = _QueueOutcome()
-        live = None
-        if live_dir is not None:
-            from repro.observability.live import LiveCoordinator
-
-            live = LiveCoordinator(live_dir, stats=self.stats, progress=progress)
-        for key, config in items:
-            if live is not None:
-                live.tick(pending=len(items), inflight=1, workers=1)
-            attempts = 0
-            while True:
-                attempts += 1
-                start = perf_counter()
-                try:
-                    result = task(config)
-                    cache.put(config, result)
-                except Exception as exc:
-                    outcome.walls.setdefault(key, []).append(
-                        perf_counter() - start
-                    )
-                    if attempts <= retries:
-                        self.stats.task_retries += 1
-                        continue
-                    outcome.failed[key] = (config, format_failure(exc), attempts)
-                    break
-                else:
-                    outcome.walls.setdefault(key, []).append(
-                        perf_counter() - start
-                    )
-                    outcome.completed[key] = (config, None)
-                    break
-        if live is not None:
-            live.tick(force=True)
-            live.close()
-        return outcome
+        return _shard_tiling(outcome)
 
     # -- the coordinator ------------------------------------------------
 
@@ -612,31 +494,26 @@ class WorkQueueExecutor(Executor):
         tel: Telemetry,
         retries: int,
         timeout: Optional[float],
-        splitter,
-        size_fn,
+        splitter=None,
+        size_fn=None,
         live_dir: Optional[str] = None,
         progress: Optional[Callable[[Any], None]] = None,
-    ) -> _QueueOutcome:
+        on_done: Optional[Callable[[Any, Any], None]] = None,
+    ) -> ExecutorOutcome:
         import multiprocessing
         from queue import Empty
 
         context = multiprocessing.get_context()
-        outcome = _QueueOutcome()
+        outcome = ExecutorOutcome()
         pending: List[Tuple[Any, CampaignConfig]] = list(items)
         if not pending:
             return outcome
 
-        live = None
-        if live_dir is not None:
-            from repro.observability.live import LiveCoordinator
-
-            live = LiveCoordinator(live_dir, stats=self.stats, progress=progress)
-
         worker_count = min(self.workers, len(pending))
+        processes: Dict[int, Any] = {}
         try:
             outbox = context.Queue()
             inboxes = {wid: context.Queue() for wid in range(worker_count)}
-            processes: Dict[int, Any] = {}
             for wid in range(worker_count):
                 proc = context.Process(
                     target=_worker_main,
@@ -646,8 +523,12 @@ class WorkQueueExecutor(Executor):
                 proc.start()
                 processes[wid] = proc
         except Exception:
+            for proc in processes.values():
+                proc.kill()
+                proc.join(timeout=1.0)
             raise _QueueStartupError("worker processes could not start")
 
+        live = _live_coordinator(live_dir, self.stats, progress)
         inflight: Dict[int, _InFlight] = {}
         idle: List[int] = []
         error_attempts: Dict[Any, int] = {}
@@ -721,10 +602,10 @@ class WorkQueueExecutor(Executor):
                     self.stats.task_retries += 1
                     pending.append((flight.key, flight.config))
                     return
-            attempts = 1 + error_attempts.get(flight.key, 0) + death_requeues.get(
+            attempts = error_attempts.get(flight.key, 0) + death_requeues.get(
                 flight.key, 0
             )
-            outcome.failed[flight.key] = (flight.config, info, attempts - 1)
+            outcome.failed[flight.key] = (flight.config, info, attempts)
 
         def respawn(dead_wid: int) -> None:
             nonlocal restarts_left, next_wid
@@ -772,7 +653,8 @@ class WorkQueueExecutor(Executor):
                                     "budget is exhausted",
                                     "",
                                 ),
-                                1 + death_requeues.get(key, 0),
+                                error_attempts.get(key, 0)
+                                + death_requeues.get(key, 0),
                             ),
                         )
                     pending.clear()
@@ -836,28 +718,21 @@ class WorkQueueExecutor(Executor):
                         idle.remove(wid)
                         respawn(wid)
                     continue
-                if kind == "ready":
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
-                elif kind == "done":
+                if kind == "done":
                     flight = inflight.pop(wid, None)
                     if flight is not None:
                         outcome.walls.setdefault(flight.key, []).append(
                             perf_counter() - flight.started_at
                         )
                         outcome.completed[flight.key] = (flight.config, payload)
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
+                        if on_done is not None:
+                            on_done(flight.key, payload)
                 elif kind == "error":
                     requeue(wid, "error", payload)
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
+                if pending:
+                    dispatch(wid)
+                else:
+                    idle.append(wid)
         finally:
             for wid, proc in processes.items():
                 inbox = inboxes.get(wid)
@@ -889,19 +764,17 @@ def get_executor(
 ) -> Executor:
     """Resolve a backend name (or pass an instance through).
 
-    ``workers == 1`` always resolves names to the serial backend — a
-    one-worker pool or queue is pure overhead — but an explicit
-    :class:`Executor` instance is honoured as given.
+    ``None`` means the work queue.  ``workers == 1`` always resolves
+    names to the serial backend — a one-worker queue is pure overhead —
+    but an explicit :class:`Executor` instance is honoured as given.
     """
     if isinstance(spec, Executor):
         return spec
-    name = EXECUTOR_POOL if spec is None else str(spec)
+    name = EXECUTOR_WORKQUEUE if spec is None else str(spec)
     if name not in EXECUTORS:
         raise ValueError(
             f"unknown executor {name!r}; expected one of {EXECUTORS}"
         )
     if workers <= 1 or name == EXECUTOR_SERIAL:
         return SerialExecutor(max(1, workers))
-    if name == EXECUTOR_POOL:
-        return PoolExecutor(workers)
     return WorkQueueExecutor(workers)

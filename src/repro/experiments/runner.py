@@ -2,7 +2,7 @@
 
 Every multi-seed study used to loop :func:`run_campaign` serially at
 several seconds per paper-scale run.  :func:`run_campaigns` fans the
-runs out over a pluggable executor backend instead (see
+runs out over the work-queue executor instead (see
 :mod:`repro.experiments.executors`):
 
 * results come back as picklable :class:`CampaignSummary` objects, in
@@ -12,7 +12,8 @@ runs out over a pluggable executor backend instead (see
   sharded slices), and the worker's full traceback;
 * ``workers=1`` (or an environment where worker processes cannot start
   — sandboxes, restricted interpreters) degrades gracefully to
-  in-process serial execution with identical results;
+  in-process serial execution with identical results; a fallback is
+  counted in ``executor.serial_fallbacks_total``;
 * an optional :class:`~repro.experiments.cache.CampaignCache` makes
   repeated sweeps free: cached configs are never dispatched at all,
   and every fresh result is **committed to the cache the moment it
@@ -20,10 +21,7 @@ runs out over a pluggable executor backend instead (see
   campaign, not from scratch;
 * ``retries`` re-runs a failed campaign (transient worker crashes heal
   without losing the sweep), and ``timeout`` arms a watchdog that
-  reclaims hung pooled workers instead of blocking the whole sweep;
-* ``executor`` selects the backend: ``"pool"`` (static process-pool
-  fan-out, the default), ``"workqueue"`` (dynamic queue with
-  self-healing workers), or ``"serial"``;
+  reclaims hung workers instead of blocking the whole sweep;
 * :func:`run_campaigns_resilient` returns a :class:`SweepManifest` —
   partial results plus a structured failure manifest — instead of
   aborting the entire sweep on one bad campaign.
@@ -46,6 +44,7 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
     CampaignExecutionError,
     Executor,
+    ExecutorStats,
     FailureInfo,
     format_failure,
     get_executor,
@@ -80,16 +79,15 @@ class CampaignFailure:
     message: str
     traceback: str
     attempts: int
-    #: Runner-observed wall seconds of each attempt, in attempt order
-    #: (sourced from the runner's per-attempt spans).  A hung pooled
-    #: worker shows up as an attempt pinned near the watchdog deadline.
+    #: Runner-observed wall seconds of each attempt, in attempt order;
+    #: one entry per counted attempt.  A hung worker shows up as an
+    #: attempt pinned near the watchdog deadline.
     attempt_wall_seconds: List[float] = field(default_factory=list)
-    #: The watchdog deadline armed for this campaign's pooled attempts;
-    #: ``None`` when no watchdog was armed (serial execution).
+    #: The watchdog deadline armed for this campaign's work-queue
+    #: attempts; ``None`` when no watchdog was armed (serial execution).
     watchdog_seconds: Optional[float] = None
     #: The fleet slice the config covered (sharded campaigns), so a
-    #: failure that crossed a broken process pool still names exactly
-    #: which phone range was in flight.
+    #: failure names exactly which phone range was in flight.
     phone_range: Optional[Tuple[int, int]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -179,7 +177,7 @@ class TelemetryTask:
     """A picklable worker task that runs its campaign under telemetry.
 
     Each invocation installs a fresh :class:`Telemetry` at ``level``
-    for the duration of its campaign, so pooled workers never share
+    for the duration of its campaign, so worker processes never share
     registries; the snapshot rides back to the runner inside the
     summary (plain JSON, no pickling of live telemetry objects), where
     :func:`merged_metrics` folds the fleet back together.
@@ -224,11 +222,11 @@ def run_campaigns(
         timeout: per-campaign watchdog in seconds for parallel workers;
             a worker that produces no result in time is treated as hung
             and the campaign is retried or reported.  Serial execution
-            cannot be preempted, so the watchdog only arms parallel
-            backends.
-        executor: backend name (``"pool"``, ``"workqueue"``,
-            ``"serial"``) or an :class:`Executor` instance; ``None``
-            means ``"pool"``, the historical behaviour.
+            cannot be preempted, so the watchdog only arms the work
+            queue.
+        executor: backend name (``"workqueue"``, ``"serial"``) or an
+            :class:`Executor` instance; ``None`` means the work queue
+            when ``workers > 1``.
         on_complete: observer called once per campaign as
             ``on_complete(index, summary)`` the moment its result is
             available — cache hits included — in completion order.
@@ -335,6 +333,9 @@ def _execute(
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     backend = get_executor(executor, workers)
+    # Tallies are per run: the one mirror below must not re-add an
+    # earlier run's counts when a caller reuses an executor instance.
+    backend.stats = ExecutorStats(backend=backend.name)
     configs = list(configs)
     results: List[Optional[CampaignSummary]] = [None] * len(configs)
 
@@ -354,49 +355,39 @@ def _execute(
         else:
             pending.append(index)
 
-    committed: set = set()
-
     def commit(index: int, summary: CampaignSummary) -> None:
         """Durably store one completed campaign the moment it lands."""
-        if cache is not None and index not in committed:
+        results[index] = summary
+        if cache is not None:
             cache.put(configs[index], summary)
-            committed.add(index)
         notify(index, summary)
 
     failed: Dict[int, FailureInfo] = {}
-    attempts: Dict[int, int] = {}
+    attempts: Dict[int, int] = {index: 1 for index in pending}
     walls: Dict[int, List[float]] = {}
-    watchdogs: Dict[int, Optional[float]] = {}
+    #: Indices that ran on the parallel backend, under its watchdog.
+    watched: set = set()
     tel = current_telemetry()
     recovered = 0
     if pending:
         serial = list(pending)
-        if backend.parallel and len(pending) > 1:
-            serial = backend.execute(
-                configs,
-                pending,
-                results,
-                task,
-                timeout,
-                failed,
-                walls,
-                watchdogs,
-                tel,
-                commit,
-            )
+        if len(pending) > 1:
+            outcome = backend.execute(configs, pending, task, timeout, tel, commit)
+            serial = outcome.serial
+            watched = set(pending) - set(serial)
+            walls.update(outcome.walls)
+            for index, (_config, info, tries) in outcome.failed.items():
+                failed[index] = info
+                attempts[index] = tries
         for index in serial:
             try:
-                results[index] = _timed_call(
-                    tel, task, configs[index], index, 0, walls
-                )
+                summary = _timed_call(tel, task, configs[index], index, 0, walls)
             except CampaignExecutionError:
                 raise
             except Exception as exc:
                 failed[index] = format_failure(exc)
             else:
-                commit(index, results[index])
-        for index in pending:
-            attempts[index] = 1
+                commit(index, summary)
 
         # Retry rounds: serial, in index order, so a healed sweep is
         # deterministic regardless of what failed where.
@@ -415,7 +406,7 @@ def _execute(
                 if retry_series is not None:
                     retry_series.value += 1.0
                 try:
-                    results[index] = _timed_call(
+                    summary = _timed_call(
                         tel, task, configs[index], index, retry, walls
                     )
                 except CampaignExecutionError:
@@ -425,8 +416,9 @@ def _execute(
                 else:
                     del failed[index]
                     recovered += 1
-                    commit(index, results[index])
+                    commit(index, summary)
 
+    backend.stats.sample(tel)
     failures = [
         CampaignFailure(
             index=index,
@@ -434,9 +426,9 @@ def _execute(
             error_type=failed[index][0],
             message=failed[index][1],
             traceback=failed[index][2],
-            attempts=attempts.get(index, 1),
+            attempts=attempts[index],
             attempt_wall_seconds=walls.get(index, []),
-            watchdog_seconds=watchdogs.get(index),
+            watchdog_seconds=timeout if index in watched else None,
             phone_range=configs[index].fleet.phone_range,
         )
         for index in sorted(failed)

@@ -24,14 +24,14 @@ one logical campaign into deterministic per-phone-range shards:
   aggregation orders exactly); :func:`merge_shard_files` is the
   spill-to-disk variant that folds committed shard files one at a time
   from disk, keeping the parent's peak memory flat in shard count;
-* :func:`run_sharded_campaign` wires it all through a pluggable
-  executor backend (:mod:`repro.experiments.executors`): ``"pool"``
-  rides the classic process-pool runner, ``"workqueue"`` runs
-  work-stealing queue workers that durably commit every shard to the
-  cache *before* acknowledging it — which is what makes a mega-fleet
-  run resumable: after ``kill -9`` mid-run, a restart replans around
-  the committed ranges (:func:`scan_committed_shards`), recomputes
-  only the gaps, and produces a bit-identical summary.
+* :func:`run_sharded_campaign` wires it all through one path: shards
+  run on the work-stealing queue (:mod:`repro.experiments.executors`;
+  in-process when ``workers == 1``), every shard is durably committed
+  to a directory *before* it is acknowledged, and the merge folds the
+  committed files.  That is what makes a mega-fleet run resumable:
+  after ``kill -9`` mid-run, a restart replans around the committed
+  ranges (:func:`scan_committed_shards`), recomputes only the gaps,
+  and produces a bit-identical summary.
 
 Simulation-side telemetry counters are the one deliberate exception to
 bit-identity: K shard simulators schedule K times as many periodic
@@ -70,15 +70,12 @@ from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import _sample_ingest_metrics
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
     EXECUTOR_WORKQUEUE,
-    CampaignExecutionError,
     Executor,
     ExecutorStats,
     WorkQueueExecutor,
     get_executor,
 )
-from repro.experiments.runner import run_campaigns_resilient
 from repro.experiments.summary import SUMMARY_FORMAT_VERSION, CampaignSummary
 from repro.observability.metrics import merge_registries
 from repro.observability.telemetry import (
@@ -99,12 +96,6 @@ from repro.phone.fleet import (
 #: committed shard's heartbeat deltas fold exactly once across kill-9
 #: resume (see :mod:`repro.observability.live`).
 SHARD_FORMAT_VERSION = 3
-
-#: Merge modes for :func:`run_sharded_campaign`.
-MERGE_AUTO = "auto"
-MERGE_MEMORY = "memory"
-MERGE_STREAMING = "streaming"
-MERGE_MODES = (MERGE_AUTO, MERGE_MEMORY, MERGE_STREAMING)
 
 _SHARD_KEYS = ("phone_range", "config", "accumulator", "ground_truth", "ingest")
 
@@ -353,12 +344,9 @@ class ShardTask:
     straight into the streaming accumulators, so its memory footprint
     is one shard's records plus constant-size partials.  With
     ``telemetry_level`` set, each invocation installs a fresh
-    :class:`Telemetry` (pooled workers never share registries) and the
+    :class:`Telemetry` (worker processes never share registries) and the
     snapshot rides home inside the :class:`ShardResult`.
     """
-
-    #: The runner may pass the attempt number; it does not change rolls.
-    accepts_attempt = False
 
     def __init__(
         self,
@@ -627,7 +615,7 @@ def _merge_stream(
 ) -> MergedCampaign:
     """Fold shard results — in ascending range order — one at a time.
 
-    The single incremental pass behind both merge modes: tiling is
+    The single incremental pass behind every merge: tiling is
     validated as the cursor advances (no gap, no overlap, exact
     coverage of ``[0, phone_count)``), the accumulator merge is a
     left fold (order-independent by construction, see
@@ -714,11 +702,9 @@ def merge_shard_files(
 ) -> MergedCampaign:
     """Streaming (spill-to-disk) merge: fold shard files one at a time.
 
-    The memory-mode merge holds every :class:`ShardResult` at once, so
-    the parent pays O(K · shard) during the fold.  This variant reads
-    each committed file from disk only when the cursor reaches its
-    range and drops it as soon as it is folded in, so parent peak RSS
-    is flat in shard count — the property ``BENCH_megafleet.json``
+    Each committed file is read from disk only when the cursor reaches
+    its range and dropped as soon as it is folded in, so parent peak
+    RSS is flat in shard count — the property ``BENCH_megafleet.json``
     pins across K ∈ {8, 32}.
     """
     ordered = sorted(shard_files, key=lambda c: c.phone_range)
@@ -750,9 +736,7 @@ class MegafleetResult:
     #: Merged quarantine accounting across every shard.
     ingest: IngestReport
     #: Which executor backend ran the shards.
-    executor: str = EXECUTOR_POOL
-    #: How the shards were merged (``memory`` or ``streaming``).
-    merge_mode: str = MERGE_MEMORY
+    executor: str = EXECUTOR_WORKQUEUE
     #: Steal / retry / resume / restart tallies for the run.
     stats: ExecutorStats = field(default_factory=ExecutorStats)
     #: Aggregate simulator events fired across every shard.
@@ -768,7 +752,6 @@ class MegafleetResult:
             "shard_ranges": [list(r) for r in self.shard_ranges],
             "ingest": self.ingest.to_dict(),
             "executor": self.executor,
-            "merge_mode": self.merge_mode,
             "counters": self.stats.to_dict(),
             "events_fired": self.events_fired,
         }
@@ -810,7 +793,6 @@ def run_sharded_campaign(
     retries: int = 0,
     timeout: Optional[float] = None,
     executor: Union[str, Executor, None] = None,
-    merge: str = MERGE_AUTO,
     spill_dir: Optional[str] = None,
     weights: Optional[Sequence[float]] = None,
     live: bool = False,
@@ -818,15 +800,16 @@ def run_sharded_campaign(
 ) -> MegafleetResult:
     """Run one logical campaign as ``shards`` independent slices.
 
-    Backends (``executor``):
-
-    * ``"pool"`` (default) — shards fan out over the standard campaign
-      runner: static process-pool assignment, cache integration,
-      retries, hung-worker watchdog.
-    * ``"workqueue"`` — work-stealing queue workers; every completed
-      shard is durably committed to the cache (or a spill directory)
-      *before* it is acknowledged, so ``kill -9`` mid-run loses only
-      in-flight shards.
+    Shards run on the work-stealing queue when ``workers > 1`` and
+    in-process otherwise (``executor="workqueue"`` keeps worker
+    processes even at one worker; an :class:`Executor` instance is used
+    as given).  Either way every completed shard is durably committed
+    *before* it is acknowledged — to the cache directory, else
+    ``spill_dir``, else a private temp dir removed after the merge — so
+    ``kill -9`` mid-run loses only in-flight shards, and the merge
+    folds the committed files one at a time, keeping parent peak RSS
+    flat in shard count.  The merged summary is bit-identical to the
+    monolithic run (telemetry counters aside; see module docs).
 
     With a ``cache``, any run first scans for shards already committed
     by an earlier (possibly killed) run of the same campaign, counts
@@ -834,181 +817,99 @@ def run_sharded_campaign(
     after a crash converges on the same bit-identical summary as an
     uninterrupted run.
 
-    ``merge`` selects how the fold back into one
-    :class:`CampaignSummary` happens: ``"memory"`` holds every shard
-    result at once; ``"streaming"`` (workqueue only — results must be
-    on disk) folds committed files one at a time so parent peak RSS is
-    flat in shard count.  ``"auto"`` picks streaming for the workqueue
-    backend and memory otherwise.  Either way the merged summary is
-    bit-identical to the monolithic run (telemetry counters aside; see
-    module docs).
-
-    ``live=True`` turns on the live telemetry plane: workers heartbeat
-    into a durable op-log under ``<run-dir>/live/``, the workqueue
-    coordinator folds it into rolling KPIs (invoking ``progress`` with
-    each :class:`~repro.observability.live.LiveSnapshot` and writing a
+    ``live=True`` turns on the live telemetry plane and needs a durable
+    run directory (a cache or ``spill_dir``): workers heartbeat into an
+    op-log under ``<run-dir>/live/``, the coordinator folds it into
+    rolling KPIs (invoking ``progress`` with each
+    :class:`~repro.observability.live.LiveSnapshot` and writing a
     ``metrics.prom`` exposition snapshot), and ``repro monitor`` can
     watch the run — or its corpse — from another terminal.  Live mode
     observes intrinsic state only; the merged result is bit-identical
     to a non-live run.
     """
-    if merge not in MERGE_MODES:
-        raise ValueError(f"unknown merge mode {merge!r}; expected {MERGE_MODES}")
     if isinstance(executor, Executor):
         backend = executor
-    elif (executor or EXECUTOR_POOL) == EXECUTOR_WORKQUEUE:
-        # Built directly (not via get_executor) so workers=1 still runs
-        # the durable-commit path instead of degrading to serial.
+    elif executor == EXECUTOR_WORKQUEUE:
+        # An explicit name keeps worker processes even at workers=1, so
+        # the parent never simulates a shard itself.
         backend = WorkQueueExecutor(workers)
     else:
         backend = get_executor(executor, workers)
-    queue_backend = isinstance(backend, WorkQueueExecutor)
-    merge_mode = merge
-    if merge_mode == MERGE_AUTO:
-        merge_mode = MERGE_STREAMING if queue_backend else MERGE_MEMORY
-    if merge_mode == MERGE_STREAMING and not queue_backend:
+    # Tallies are per run (see the runner): mirrored once, at the end.
+    backend.stats = ExecutorStats(backend=backend.name)
+    run_dir = cache.directory if cache is not None else spill_dir
+    if live and run_dir is None:
         raise ValueError(
-            "streaming merge needs shard results on disk; use the "
-            "'workqueue' executor"
+            "live mode needs a durable run directory: pass a cache "
+            "(or spill_dir)"
         )
 
-    plan_configs = plan_shards(config, shards, weights=weights)
-    tel = current_telemetry()
-
+    task_configs = plan_shards(config, shards, weights=weights)
     committed: List[CommittedShard] = []
     if cache is not None:
-        chosen, gaps = _resume_plan(
+        committed, gaps = _resume_plan(
             scan_committed_shards(cache, config), config.fleet.phone_count
         )
-        committed = chosen
-        if chosen:
-            backend.stats.resumed_shards += len(chosen)
-            cache.hits += len(chosen)
+        if committed:
+            backend.stats.resumed_shards += len(committed)
+            cache.hits += len(committed)
             target = -(-config.fleet.phone_count // shards)
             task_configs = [
                 _slice_config(config, start, stop)
                 for start, stop in _plan_gap_ranges(gaps, target)
             ]
-        else:
-            task_configs = plan_configs
-    else:
-        task_configs = plan_configs
+        cache.misses += len(task_configs)
 
-    live_root: Optional[str] = None
     live_dir: Optional[str] = None
     if live:
         from repro.observability.live import live_dir_for
 
-        if cache is not None:
-            live_root = cache.directory
-        elif spill_dir is not None:
-            live_root = spill_dir
-        elif not queue_backend:
-            raise ValueError(
-                "live mode needs a durable run directory: pass a cache "
-                "(or spill_dir), or use the 'workqueue' executor"
-            )
-        if live_root is not None:
-            live_dir = live_dir_for(live_root)
-
+        live_dir = live_dir_for(run_dir)
+        _announce_campaign(live_dir, config, shards, workers, backend.name)
     task = ShardTask(
         pipeline=pipeline,
         telemetry_level=telemetry_level,
         plan=plan,
         live_dir=live_dir,
     )
-
-    if queue_backend:
-        temp_dir: Optional[str] = None
-        if cache is not None:
-            commit_dir = cache.directory
-        elif spill_dir is not None:
-            commit_dir = spill_dir
-        else:
-            commit_dir = temp_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        if live and live_dir is None:
-            from repro.observability.live import live_dir_for
-
-            live_root = commit_dir
-            live_dir = live_dir_for(commit_dir)
-            task.live_dir = live_dir
-        if live_dir is not None:
-            _announce_campaign(live_dir, config, shards, workers, backend.name)
-        try:
-            completed: List[Tuple[Tuple[int, int], CampaignConfig]] = []
-            if task_configs:
-                if cache is not None:
-                    cache.misses += len(task_configs)
-                completed = backend.execute_shards(
-                    [
-                        (cfg.fleet.resolved_range(), cfg)
-                        for cfg in task_configs
-                    ],
-                    task,
-                    commit_dir,
-                    tel=tel,
-                    retries=retries,
-                    timeout=timeout,
-                    splitter=split_shard_config,
-                    size_fn=shard_config_size,
-                    live_dir=live_dir,
-                    progress=progress,
-                )
-            commit_cache = CampaignCache(commit_dir)
-            shard_files = committed + [
-                CommittedShard(rng, commit_cache.path_for(cfg))
-                for rng, cfg in completed
-            ]
-            if merge_mode == MERGE_STREAMING:
-                merged = merge_shard_files(shard_files, config)
-            else:
-                loaded = [load_shard_file(c.path) for c in shard_files]
-                merged = _merge_stream(
-                    iter(sorted(loaded, key=lambda r: r.phone_range[0])),
-                    config,
-                )
-        finally:
-            if temp_dir is not None:
-                shutil.rmtree(temp_dir, ignore_errors=True)
-    else:
-        if live_dir is not None:
-            _announce_campaign(live_dir, config, shards, workers, backend.name)
-        manifest = run_campaigns_resilient(
-            task_configs,
-            workers=workers,
-            cache=cache,
-            task=task,
-            retries=retries,
-            timeout=timeout,
-            executor=backend,
-        )
-        if manifest.failures:
-            first = manifest.failures[0]
-            raise CampaignExecutionError(
-                first.index,
-                first.seed,
-                f"{first.error_type}: {first.message}",
-                traceback=first.traceback,
-                attempts=first.attempts,
-                phone_range=first.phone_range,
+    tel = current_telemetry()
+    commit_dir = run_dir or tempfile.mkdtemp(prefix="repro-shards-")
+    try:
+        completed: List[Tuple[Tuple[int, int], CampaignConfig]] = []
+        if task_configs:
+            completed = backend.execute_shards(
+                [(cfg.fleet.resolved_range(), cfg) for cfg in task_configs],
+                task,
+                commit_dir,
+                tel=tel,
+                retries=retries,
+                timeout=timeout,
+                splitter=split_shard_config,
+                size_fn=shard_config_size,
+                live_dir=live_dir,
+                progress=progress,
             )
-        backend.stats.task_retries += manifest.recovered
-        results = list(manifest.completed_summaries()) + [
-            load_shard_file(c.path) for c in committed
-        ]
-        merged = _merge_stream(
-            iter(sorted(results, key=lambda r: r.phone_range[0])), config
+        commits = CampaignCache(commit_dir)
+        merged = merge_shard_files(
+            committed
+            + [
+                CommittedShard(rng, commits.path_for(cfg))
+                for rng, cfg in completed
+            ],
+            config,
         )
+    finally:
+        if run_dir is None:
+            shutil.rmtree(commit_dir, ignore_errors=True)
 
     backend.stats.sample(tel)
-    if live and live_root is not None:
+    if live_dir is not None:
         # One final authoritative fold so metrics.prom and the op-log
-        # view agree with the completed run even for non-workqueue
-        # backends (which have no folding coordinator loop).
+        # view agree with the completed run, resumed shards included.
         from repro.observability.live import LiveFolder, write_prom_snapshot
 
-        snapshot = LiveFolder(live_root).fold()
-        write_prom_snapshot(live_root, snapshot)
+        snapshot = LiveFolder(run_dir).fold()
+        write_prom_snapshot(run_dir, snapshot)
         if progress is not None:
             progress(snapshot)
     return MegafleetResult(
@@ -1016,7 +917,6 @@ def run_sharded_campaign(
         shard_ranges=merged.shard_ranges,
         ingest=merged.ingest,
         executor=backend.name,
-        merge_mode=merge_mode,
         stats=backend.stats,
         events_fired=merged.events_fired,
     )

@@ -51,8 +51,8 @@ class CampaignSummary:
     #: Section name -> section ``to_dict()`` (see ``SECTION_KEYS``).
     sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: ``Telemetry.snapshot()`` of the run ({} when telemetry was off).
-    #: JSON-native, so it ships across the pool's summary channel and
-    #: the runner can merge worker registries deterministically.
+    #: JSON-native, so it ships across the worker queue and the runner
+    #: can merge worker registries deterministically.
     telemetry: Dict[str, Any] = field(default_factory=dict)
     format_version: int = SUMMARY_FORMAT_VERSION
 

@@ -3,7 +3,7 @@
 The paper's contribution is instrumentation of a running phone fleet;
 this package instruments the *reproduction* the same way — a metrics
 registry (labeled counters, gauges, histograms — mergeable across
-pooled sweep workers), a hierarchical span tracer stamping both sim
+sweep worker processes), a hierarchical span tracer stamping both sim
 time and wall time, and exporters: a JSON snapshot embedded in
 :class:`~repro.experiments.summary.CampaignSummary`, Chrome
 ``trace_event`` JSON for ``chrome://tracing``/Perfetto (the ``repro

@@ -96,6 +96,11 @@ def _peak_rss_kb() -> int:
 _writer_serial = 0
 
 
+def _elapsed(since: Optional[float], now: float, interval: float) -> bool:
+    """Whether ``interval`` has passed since ``since`` (``None``: never)."""
+    return since is None or now - since >= interval
+
+
 class OpLogWriter:
     """Appends durable records to one per-process op-log file.
 
@@ -112,12 +117,15 @@ class OpLogWriter:
         live_dir: str,
         role: str = "worker",
         min_interval: float = DEFAULT_FLUSH_INTERVAL,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         global _writer_serial
         os.makedirs(live_dir, exist_ok=True)
         self.live_dir = live_dir
         self.role = role
         self.min_interval = min_interval
+        #: Throttling clock (injectable so tests can pin any reading).
+        self.clock = clock
         self._epoch_ms = int(time.time() * 1000.0)
         _writer_serial += 1
         self._uid = f"{os.getpid()}.{self._epoch_ms}.{_writer_serial}"
@@ -129,7 +137,8 @@ class OpLogWriter:
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
         self._streams = 0
-        self._last_flush = 0.0
+        #: ``None`` until the stream's first flush, which always goes out.
+        self._last_flush: Optional[float] = None
         #: Active stream state (one stream at a time per writer).
         self.stream_id: Optional[str] = None
         self.seq = 0
@@ -170,7 +179,7 @@ class OpLogWriter:
         self.seq = 0
         self._registry = registry
         self._metrics_base = registry.to_dict() if registry is not None else {}
-        self._last_flush = 0.0
+        self._last_flush = None
         self.record(
             "start",
             stream=self.stream_id,
@@ -197,8 +206,8 @@ class OpLogWriter:
         """
         if self.stream_id is None:
             return False
-        now = time.monotonic()
-        if throttled and now - self._last_flush < self.min_interval:
+        now = self.clock()
+        if throttled and not _elapsed(self._last_flush, now, self.min_interval):
             return False
         self._last_flush = now
         self.seq += 1
@@ -223,8 +232,7 @@ class OpLogWriter:
             self.begin_stream(
                 fleet.config.resolved_range(), fleet.config.duration
             )
-        now = time.monotonic()
-        if now - self._last_flush < self.min_interval:
+        if not _elapsed(self._last_flush, self.clock(), self.min_interval):
             return False
         freezes = shutdowns = panics = boots = 0
         for instance in fleet.phones:
@@ -286,7 +294,7 @@ def install_live_writer(writer: Optional[OpLogWriter]) -> Optional[OpLogWriter]:
     return previous
 
 
-# Pooled workers run many ShardTasks per process; each process keeps one
+# Queue workers run many ShardTasks per process; each process keeps one
 # op-log file per live directory instead of one per task.
 _worker_writers: Dict[str, OpLogWriter] = {}
 
@@ -719,6 +727,7 @@ class LiveCoordinator:
         progress: Optional["ProgressCallback"] = None,
         beat_interval: float = 0.5,
         fold_interval: float = 2.0,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.run_dir = os.path.dirname(os.path.abspath(live_dir))
         self.writer = OpLogWriter(live_dir, role="coordinator")
@@ -727,8 +736,10 @@ class LiveCoordinator:
         self.progress = progress
         self.beat_interval = beat_interval
         self.fold_interval = fold_interval
-        self._last_beat = 0.0
-        self._last_fold = 0.0
+        self.clock = clock
+        #: ``None`` until the first beat / fold, which always go out.
+        self._last_beat: Optional[float] = None
+        self._last_fold: Optional[float] = None
 
     def tick(
         self,
@@ -737,8 +748,8 @@ class LiveCoordinator:
         workers: int = 0,
         force: bool = False,
     ) -> Optional[LiveSnapshot]:
-        now = time.monotonic()
-        if force or now - self._last_beat >= self.beat_interval:
+        now = self.clock()
+        if force or _elapsed(self._last_beat, now, self.beat_interval):
             self._last_beat = now
             fields: Dict[str, Any] = {
                 "pending": pending,
@@ -755,7 +766,7 @@ class LiveCoordinator:
                     watchdog_fires=self.stats.watchdog_fires,
                 )
             self.writer.coordinator(**fields)
-        if force or now - self._last_fold >= self.fold_interval:
+        if force or _elapsed(self._last_fold, now, self.fold_interval):
             self._last_fold = now
             snapshot = self.folder.fold()
             write_prom_snapshot(self.run_dir, snapshot)

@@ -12,7 +12,7 @@ follow:
 * **Series handles are plain slots objects.**  ``series.value += 1`` is
   the whole cost of a counter increment; a histogram observation is one
   ``bisect`` over a small precomputed bound list.
-* **Everything merges.**  Pooled sweep workers ship their registry back
+* **Everything merges.**  Sweep worker processes ship their registry back
   as plain data through the summary channel; merging sums counters and
   histogram buckets, which is commutative and associative, so the
   merged registry is independent of worker scheduling.
@@ -481,7 +481,7 @@ def merge_registries(dicts: Iterable[Dict[str, Any]]) -> MetricsRegistry:
 
     Input order never matters: the payloads are folded in canonical
     (serialized) order, so any permutation of the same worker
-    registries — pool completion order, retry order — produces a
+    registries — worker completion order, retry order — produces a
     bit-identical result, float histogram totals included.
     """
     merged = MetricsRegistry()

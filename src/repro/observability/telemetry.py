@@ -20,7 +20,7 @@ None`` branch on the hot path and zero allocations.  Three levels:
   (and wall-clock histograms), for ``repro trace`` timelines.
 
 Installation is process-global (the simulation is single-threaded per
-process; pooled sweep workers each install their own instance and ship
+process; sweep worker processes each install their own instance and ship
 the registry back through the summary channel):
 
     tel = Telemetry(TELEMETRY_TRACE)

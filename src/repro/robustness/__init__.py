@@ -12,7 +12,7 @@ results degrade:
   worker, cache);
 * :mod:`injectors`  — the machinery that injects it: a faulty transfer
   link for the collection path, cache-file corrupters, and a faulty
-  worker task for the pooled runner;
+  worker task for the parallel runner;
 * :mod:`experiment` — the degradation-curve experiment behind the
   ``repro faults`` CLI: sweep fault intensity, report headline-figure
   drift, and assert the pipeline degrades gracefully.

@@ -8,7 +8,7 @@ in a structured report rather than an unhandled exception — the same
 bar Cotroneo et al. set for Android's logging stack.
 
 The experiment also carries an optional *resilience probe*: a small
-multi-seed sweep run through the pooled runner with injected worker
+multi-seed sweep run through the parallel runner with injected worker
 crashes/hangs and a cache corrupted under its feet, reporting how much
 the self-healing machinery (per-campaign retry, watchdog, cache
 eviction) recovered.
@@ -166,7 +166,7 @@ class DegradationPoint:
 
 @dataclass
 class ResilienceProbe:
-    """Self-healing evidence from a faulty pooled sweep."""
+    """Self-healing evidence from a faulty parallel sweep."""
 
     seeds: List[int]
     completed: int
@@ -335,7 +335,7 @@ def run_resilience_probe(
 ) -> ResilienceProbe:
     """Exercise the worker- and cache-layer defenses in one sweep.
 
-    Runs ``seeds`` campaigns through the pooled runner with a
+    Runs ``seeds`` campaigns through the parallel runner with a
     :class:`FaultyCampaignTask` (injected crashes/stalls, healed by
     retry and the watchdog), then corrupts every cache entry in place
     and sweeps again — the cache must evict the garbage, recompute, and

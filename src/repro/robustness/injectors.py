@@ -7,7 +7,7 @@ Three injection surfaces, one per pipeline stage:
   back: truncated tails, garbled bytes, flash-full eviction) and the
   transfer layer (failed attempts, duplicated and withheld/reordered
   batches, per-phone clock skew);
-* :class:`FaultyCampaignTask` — a drop-in worker task for the pooled
+* :class:`FaultyCampaignTask` — a drop-in worker task for the parallel
   runner that crashes or stalls on schedule;
 * :func:`corrupt_cache_entry` — flips or truncates an on-disk summary
   cache file under the cache's feet.
@@ -221,13 +221,13 @@ class WorkerFaultError(ReproError):
 
 
 class FaultyCampaignTask:
-    """A pooled-runner task that crashes or stalls on schedule.
+    """A parallel-runner task that crashes or stalls on schedule.
 
     Rolls are keyed on ``(plan seed, campaign seed, attempt)``, so a
     campaign that crashes on its first attempt usually succeeds on
     retry — exactly the transient-worker failure the runner's
     self-healing (per-campaign retry + watchdog) is built to absorb.
-    Instances are picklable and cross the process-pool boundary.
+    Instances are picklable and cross the worker-process boundary.
     """
 
     #: The runner passes the attempt number to tasks that declare this.

@@ -38,7 +38,7 @@ class FaultPlan:
     * **transfer** — the link to the collection server: failed syncs,
       duplicated and reordered batches, a constant per-phone clock
       skew applied to shipped timestamps;
-    * **worker** — the pooled campaign runner: a worker process that
+    * **worker** — the parallel campaign runner: a worker process that
       crashes, or hangs past the watchdog timeout;
     * **cache** — on-disk summary snapshots corrupted or truncated
       under the cache's feet.

@@ -1,8 +1,8 @@
-"""The pluggable executor layer: backends, stealing, and crash healing.
+"""The executor layer: backends, stealing, and crash healing.
 
 :mod:`repro.experiments.executors` promises that *how* campaigns run —
-serial loop, static process pool, work-stealing queue workers — never
-changes *what* they produce.  These tests pin backend resolution, the
+serial loop or work-stealing queue workers — never changes *what* they
+produce.  These tests pin backend resolution, the
 bit-identity of every backend against the serial oracle, dispatch-time
 work stealing, failure identity (which phone range was in flight), and
 the coordinator's healing when a worker process is killed outright.
@@ -21,13 +21,11 @@ import pytest
 from repro.core.clock import MONTH
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
     EXECUTOR_SERIAL,
     EXECUTOR_WORKQUEUE,
     EXECUTORS,
     CampaignExecutionError,
     ExecutorStats,
-    PoolExecutor,
     SerialExecutor,
     WorkQueueExecutor,
     get_executor,
@@ -44,6 +42,7 @@ from repro.experiments.summary import CampaignSummary
 from repro.observability.telemetry import (
     TELEMETRY_METRICS,
     TELEMETRY_OFF,
+    TELEMETRY_TRACE,
     Telemetry,
 )
 from repro.phone.fleet import FleetConfig
@@ -81,12 +80,10 @@ def serial_summaries():
 
 def test_get_executor_resolution():
     assert isinstance(get_executor(None, 1), SerialExecutor)
-    assert isinstance(get_executor(None, 4), PoolExecutor)
+    assert isinstance(get_executor(None, 4), WorkQueueExecutor)
     assert isinstance(get_executor(EXECUTOR_SERIAL, 4), SerialExecutor)
     # One worker cannot fan out: every name degrades to serial.
-    assert isinstance(get_executor(EXECUTOR_POOL, 1), SerialExecutor)
-    pool = get_executor(EXECUTOR_POOL, 3)
-    assert isinstance(pool, PoolExecutor) and pool.workers == 3
+    assert isinstance(get_executor(EXECUTOR_WORKQUEUE, 1), SerialExecutor)
     queue = get_executor(EXECUTOR_WORKQUEUE, 2)
     assert isinstance(queue, WorkQueueExecutor) and queue.workers == 2
     # Instances pass through untouched (caller-configured backends).
@@ -98,10 +95,11 @@ def test_get_executor_resolution():
         WorkQueueExecutor(0)
 
 
-def test_executor_stats_shape_and_delta_sampling():
+def test_executor_stats_shape_and_single_mirror():
     stats = ExecutorStats(backend=EXECUTOR_WORKQUEUE)
     stats.steals = 3
     stats.task_retries = 2
+    stats.serial_fallbacks = 1
     snapshot = stats.to_dict()
     for key in (
         "executor.steals_total",
@@ -109,19 +107,17 @@ def test_executor_stats_shape_and_delta_sampling():
         "executor.resumed_shards_total",
         "executor.worker_restarts_total",
         "executor.watchdog_fires_total",
+        "executor.serial_fallbacks_total",
     ):
         assert key in snapshot
     tel = Telemetry(TELEMETRY_METRICS)
     stats.sample(tel)
-    stats.sample(tel)  # repeated sampling must not double-count
     totals = tel.registry.counter_totals()
     assert totals["executor.steals_total"] == 3.0
     assert totals["executor.task_retries_total"] == 2.0
-    stats.resumed_shards = 5
-    stats.sample(tel)
-    assert (
-        tel.registry.counter_totals()["executor.resumed_shards_total"] == 5.0
-    )
+    assert totals["executor.serial_fallbacks_total"] == 1.0
+    # Zero tallies never create a series.
+    assert "executor.resumed_shards_total" not in totals
     # Telemetry off: sampling is a no-op, the plain ints still serve.
     stats_off = ExecutorStats()
     stats_off.steals = 1
@@ -149,6 +145,85 @@ def test_executor_instance_accepted_by_runner(serial_summaries):
     assert [canonical(s) for s in summaries] == [
         canonical(s) for s in serial_summaries
     ]
+
+
+class _NoStartContext:
+    """A multiprocessing context whose worker processes refuse to start."""
+
+    def __init__(self) -> None:
+        self.Queue = multiprocessing.get_context().Queue
+
+    class Process:
+        def __init__(self, *args, **kwargs) -> None:
+            pass
+
+        def start(self) -> None:
+            raise OSError("process start denied")
+
+
+def test_unstartable_workers_fall_back_to_serial_visibly(
+    monkeypatch, serial_summaries
+):
+    """A sweep whose workers cannot start still completes in-process —
+    and says so: a tally, a registry counter, and a trace instant."""
+    context = _NoStartContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
+    backend = WorkQueueExecutor(2)
+    tel = Telemetry(TELEMETRY_TRACE)
+    with tel.installed():
+        summaries = run_campaigns(
+            [tiny_config(seed) for seed in SEEDS], workers=2, executor=backend
+        )
+    # The in-process campaigns ran under the installed telemetry, so
+    # only their results, not their telemetry snapshots, are compared.
+    assert [s.sections for s in summaries] == [
+        s.sections for s in serial_summaries
+    ]
+    assert backend.stats.serial_fallbacks == 1
+    totals = tel.registry.counter_totals()
+    assert totals["executor.serial_fallbacks_total"] == 1.0
+    assert len(tel.tracer.spans_named("serial fallback")) == 1
+
+
+def test_unstartable_shard_workers_fall_back_to_serial(
+    monkeypatch, tmp_path
+):
+    context = _NoStartContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
+    config = small_campaign(phones=8)
+    plan = plan_shards(config, 2)
+    backend = WorkQueueExecutor(2, steal=False)
+    completed = backend.execute_shards(
+        [(c.fleet.resolved_range(), c) for c in plan],
+        ShardTask(),
+        str(tmp_path),
+        tel=Telemetry(TELEMETRY_OFF),
+    )
+    assert [rng for rng, _cfg in completed] == [
+        c.fleet.phone_range for c in plan
+    ]
+    assert backend.stats.serial_fallbacks == 1
+
+
+def test_sharded_run_mirrors_stats_once(tmp_path):
+    """The sharded campaign owns the run: its tallies cover that run
+    only, even on a reused executor, and its registry counters equal
+    them exactly."""
+    from repro.experiments.shard import run_sharded_campaign, shard_cache
+
+    config = small_campaign(phones=12)
+    cache = shard_cache(str(tmp_path))
+    backend = SerialExecutor()
+    for _ in range(2):
+        run_sharded_campaign(config, shards=3, cache=cache, executor=backend)
+    tel = Telemetry(TELEMETRY_METRICS)
+    with tel.installed():
+        result = run_sharded_campaign(
+            config, shards=3, cache=cache, executor=backend
+        )
+    totals = tel.registry.counter_totals()
+    assert result.stats.resumed_shards == 3
+    assert totals["executor.resumed_shards_total"] == 3.0
 
 
 # -- splitting / stealing -------------------------------------------------------

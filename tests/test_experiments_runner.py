@@ -267,6 +267,21 @@ class TestSelfHealing:
         assert "hung worker" in manifest.failures[0].message
 
 
+    def test_hung_worker_attempts_match_wall_times(self):
+        """Every attempt the work queue made on a hung campaign — the
+        watchdog re-dispatches it once — is counted and timed."""
+        manifest = run_campaigns_resilient(
+            [tiny_config(seed) for seed in SEEDS],
+            workers=2,
+            task=HangTask(),
+            retries=0,
+            timeout=1.0,
+        )
+        (failure,) = manifest.failures
+        assert failure.attempts == len(failure.attempt_wall_seconds)
+        assert failure.watchdog_seconds == 1.0
+
+
 class TestCacheIntegration:
     def test_cached_rerun_hits_and_skips_execution(
         self, tmp_path, serial_summaries

@@ -36,6 +36,7 @@ from repro.observability.export import (
     validate_chrome_trace,
 )
 from repro.observability.live import (
+    LiveCoordinator,
     LiveFolder,
     OpLogReader,
     OpLogWriter,
@@ -140,6 +141,35 @@ class TestOpLog:
         assert not writer.heartbeat(events_fired=2)  # throttled
         assert writer.heartbeat(throttled=False, events_fired=3)
         writer.close()
+
+    def test_first_heartbeat_flushes_on_a_freshly_booted_host(self, tmp_path):
+        """A monotonic clock still below the throttle interval (a host
+        up for seconds) must not swallow a stream's first heartbeat."""
+        now = [5.0]
+        writer = OpLogWriter(
+            str(tmp_path / "live"), min_interval=60.0, clock=lambda: now[0]
+        )
+        writer.begin_stream((0, 5), 10.0)
+        assert writer.heartbeat(events_fired=1)
+        assert not writer.heartbeat(events_fired=2)  # throttled
+        now[0] = 65.0
+        assert writer.heartbeat(events_fired=3)
+        writer.begin_stream((5, 9), 10.0)  # a new stream flushes at once
+        assert writer.heartbeat(events_fired=1)
+        writer.close()
+
+    def test_first_coordinator_tick_beats_and_folds_on_a_fresh_clock(
+        self, tmp_path
+    ):
+        live = str(tmp_path / "live")
+        coordinator = LiveCoordinator(live, clock=lambda: 0.1)
+        try:
+            assert coordinator.tick(pending=3) is not None  # folded
+            assert coordinator.tick(pending=2) is None  # throttled
+        finally:
+            coordinator.close()
+        kinds = [record["kind"] for record in OpLogReader(live).read_new()]
+        assert kinds == ["coordinator"]
 
     def test_install_and_current(self, tmp_path):
         assert current_live_writer() is None

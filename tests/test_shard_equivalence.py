@@ -4,8 +4,9 @@ The whole point of :mod:`repro.experiments.shard` is that splitting one
 campaign into K per-phone-range shards changes *nothing* about the
 result — not one bit of the :class:`CampaignSummary`.  These tests pin
 that contract against a monolithic baseline for K ∈ {1, 3, 7, 25},
-through both ingest pipelines, under a process pool, through the shard
-cache, and with collection-path fault injection enabled.
+through both ingest pipelines, on work-stealing worker processes,
+through the shard cache, and with collection-path fault injection
+enabled.
 """
 
 from __future__ import annotations
@@ -283,31 +284,40 @@ def test_merge_rejects_duplicated_phone_range(config):
 
 def test_workqueue_streaming_matches_monolithic(config, monolithic):
     """The work-stealing backend with spill-to-disk merge is the exact
-    same campaign: streaming merge, memory merge, and the pool backend
-    all emit the monolithic summary bit for bit."""
+    same campaign: it emits the monolithic summary bit for bit."""
     streamed = run_sharded_campaign(
         config, shards=3, workers=2, executor="workqueue"
     )
     assert streamed.executor == "workqueue"
-    assert streamed.merge_mode == "streaming"
     assert canonical(streamed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
-    in_memory = run_sharded_campaign(
-        config, shards=3, workers=2, executor="workqueue", merge="memory"
-    )
-    assert in_memory.merge_mode == "memory"
-    assert canonical(in_memory.summary.to_dict()) == canonical(
-        monolithic.to_dict()
-    )
-    assert streamed.events_fired == in_memory.events_fired > 0
+    assert streamed.events_fired > 0
 
 
-def test_streaming_merge_requires_workqueue(config):
-    with pytest.raises(ValueError, match="streaming"):
-        run_sharded_campaign(config, shards=2, merge="streaming")
-    with pytest.raises(ValueError, match="merge mode"):
-        run_sharded_campaign(config, shards=2, merge="telepathy")
+def test_cacheless_run_leaves_no_temp_dir(tmp_path, monkeypatch, config):
+    """Without a cache or spill dir, shards commit to a private temp
+    dir that is gone once the merge has read it."""
+    import tempfile
+
+    created = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        created.append(path)
+        return path
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    for workers in (1, 2):
+        run_sharded_campaign(config, shards=3, workers=workers)
+    commit_dirs = [
+        path for path in created
+        if os.path.basename(path).startswith("repro-shards-")
+    ]
+    assert len(commit_dirs) == 2
+    assert not any(os.path.exists(path) for path in commit_dirs)
 
 
 def test_skewed_plan_with_stealing_matches_monolithic(config, monolithic):
@@ -381,14 +391,16 @@ def test_resume_from_committed_shards(tmp_path, config, monolithic):
     )
 
 
-def test_pool_backend_resumes_workqueue_commits(tmp_path, config, monolithic):
-    """Committed shards are backend-agnostic: the pool (or serial)
-    backend adopts what a workqueue run left behind."""
+def test_serial_resume_adopts_workqueue_commits(tmp_path, config, monolithic):
+    """Committed shards are backend-agnostic: a ``workers=1`` run
+    adopts what a work-queue run left behind."""
     cache = shard_cache(str(tmp_path))
     run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue", cache=cache
     )
-    result = run_sharded_campaign(config, shards=4, cache=shard_cache(str(tmp_path)))
+    result = run_sharded_campaign(
+        config, shards=4, workers=1, cache=shard_cache(str(tmp_path))
+    )
     assert result.stats.resumed_shards == 4
     assert canonical(result.summary.to_dict()) == canonical(
         monolithic.to_dict()
