@@ -15,6 +15,10 @@ file is **evicted** on the spot (so it cannot shadow the recomputed
 entry or fail again next sweep) and ``put`` rewrites it atomically
 (temp file + rename).  ``evictions`` counts how often that self-repair
 fired.
+
+Durability is crash-consistent, not power-safe: there is no ``fsync``,
+so a committed entry survives the writing process being killed
+(``kill -9``) but not power loss or an OS crash.
 """
 
 from __future__ import annotations

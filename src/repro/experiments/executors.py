@@ -18,19 +18,24 @@ same seam without touching campaign logic.  Two backends exist:
   ``FleetConfig.phone_range``) instead of idling while one long-tailed
   shard gates the wall clock.  Workers that die mid-task (``kill -9``,
   OOM) are detected by liveness polling; their in-flight task is
-  requeued and the worker respawned.  With a ``commit_dir``, workers
-  durably commit each result to a
+  requeued and the worker respawned.  Each worker acknowledges over a
+  pipe of its own, so a worker killed mid-write can only break its own
+  channel, never the coordinator's view of the others (a queue shared
+  by all workers has a write lock that a killed writer never
+  releases).  With a ``commit_dir``, workers
+  commit each result to a
   :class:`~repro.experiments.cache.CampaignCache` (atomic temp file +
-  rename) *before* acknowledging it — the property that makes
-  mega-fleet runs resumable after ``kill -9`` of the whole process
-  tree — and only a tiny acknowledgement crosses the queue, keeping
+  rename, no ``fsync``) *before* acknowledging it — the property that
+  makes mega-fleet runs resumable after ``kill -9`` of the whole
+  process tree; a commit survives a process crash, not power loss —
+  and only a tiny acknowledgement crosses the pipe, keeping
   the parent's memory flat in shard count.
 
-Counters: every steal, task retry, worker restart, watchdog fire, and
-serial fallback is tallied in an :class:`ExecutorStats` (always, so
-reports and benchmarks can quote them with telemetry off).  The layer
-that owns a run — the runner or the sharded campaign — mirrors the
-tallies into the ambient
+Counters: every steal, task retry, worker restart, failed worker
+respawn, watchdog fire, and serial fallback is tallied in an
+:class:`ExecutorStats` (always, so reports and benchmarks can quote
+them with telemetry off).  The layer that owns a run — the runner or
+the sharded campaign — mirrors the tallies into the ambient
 :class:`~repro.observability.telemetry.Telemetry` registry once, at the
 end of the run, as labeled counters (``executor.steals_total`` etc.)
 when metrics are enabled.
@@ -127,6 +132,7 @@ _STATS_COUNTERS = (
     ("task_retries", "executor.task_retries_total", "tasks re-dispatched after failure"),
     ("resumed_shards", "executor.resumed_shards_total", "committed shards skipped at replan"),
     ("worker_restarts", "executor.worker_restarts_total", "workers replaced after death or hang"),
+    ("respawn_failures", "executor.respawn_failures_total", "worker replacements that failed to start"),
     ("watchdog_fires", "executor.watchdog_fires_total", "hung tasks reclaimed by the watchdog"),
     ("serial_fallbacks", "executor.serial_fallbacks_total", "runs that fell back to serial"),
 )
@@ -149,8 +155,10 @@ class ExecutorStats:
     task_retries: int = 0
     #: Committed shards skipped at (re)planning time — the resume path.
     resumed_shards: int = 0
-    #: Dead or hung workers replaced with a fresh process.
+    #: Dead or hung workers replaced with a fresh, started process.
     worker_restarts: int = 0
+    #: Replacement workers whose process failed to start.
+    respawn_failures: int = 0
     #: Hung tasks reclaimed by the per-task watchdog.
     watchdog_fires: int = 0
     #: Parallel runs that ran in-process because workers could not start.
@@ -339,13 +347,16 @@ def _shard_tiling(outcome: ExecutorOutcome) -> List[ShardItem]:
 def _worker_main(wid, task, commit_dir, inbox, outbox):
     """Worker loop: pull a task, run it, (commit), acknowledge.
 
-    With ``commit_dir`` the result is durably written to the cache
-    *before* the acknowledgement is sent — the coordinator never learns
-    of a shard that is not already safe on disk — and never crosses the
-    queue.  Module-level so it pickles under any start method.
+    ``outbox`` is the write end of this worker's own pipe; ``send`` is
+    synchronous, so no message is left half-written by a feeder thread
+    when the task kills the process.  With ``commit_dir`` the result is
+    durably written to the cache *before* the acknowledgement is sent —
+    the coordinator never learns of a shard that is not already safe on
+    disk — and never crosses the pipe.  Module-level so it pickles
+    under any start method.
     """
     cache = CampaignCache(commit_dir) if commit_dir is not None else None
-    outbox.put(("ready", wid, None, None))
+    outbox.send(("ready", wid, None, None))
     while True:
         message = inbox.get()
         if message[0] == "stop":
@@ -357,9 +368,9 @@ def _worker_main(wid, task, commit_dir, inbox, outbox):
                 cache.put(config, result)
                 result = None
         except Exception as exc:
-            outbox.put(("error", wid, task_id, format_failure(exc)))
+            outbox.send(("error", wid, task_id, format_failure(exc)))
         else:
-            outbox.put(("done", wid, task_id, result))
+            outbox.send(("done", wid, task_id, result))
 
 
 class _QueueStartupError(RuntimeError):
@@ -377,7 +388,7 @@ class WorkQueueExecutor(Executor):
     """Coordinator-scheduled worker processes with work stealing.
 
     The coordinator owns the pending task list and dispatches one task
-    per idle worker; workers acknowledge over a shared upstream queue.
+    per idle worker; each worker acknowledges over a pipe of its own.
 
     * **dynamic balance** — a worker that finishes early immediately
       pulls the next task, so an uneven plan never pins wall time to
@@ -391,8 +402,9 @@ class WorkQueueExecutor(Executor):
       task that exceeds ``timeout`` is reclaimed by killing the worker.
 
     With ``commit_dir`` set (sharded mode) workers commit every result
-    durably before acknowledging, which is what makes ``kill -9``
-    resume work: anything acknowledged is already on disk.
+    before acknowledging, which is what makes ``kill -9`` resume work:
+    anything acknowledged has been renamed into place.  Commits are not
+    fsynced, so they survive a process crash but not power loss.
     """
 
     name = EXECUTOR_WORKQUEUE
@@ -501,7 +513,7 @@ class WorkQueueExecutor(Executor):
         on_done: Optional[Callable[[Any, Any], None]] = None,
     ) -> ExecutorOutcome:
         import multiprocessing
-        from queue import Empty
+        from multiprocessing.connection import Pipe, wait
 
         context = multiprocessing.get_context()
         outcome = ExecutorOutcome()
@@ -511,21 +523,48 @@ class WorkQueueExecutor(Executor):
 
         worker_count = min(self.workers, len(pending))
         processes: Dict[int, Any] = {}
-        try:
-            outbox = context.Queue()
-            inboxes = {wid: context.Queue() for wid in range(worker_count)}
-            for wid in range(worker_count):
+        inboxes: Dict[int, Any] = {}
+        #: Read end of each worker's acknowledgement pipe.
+        outboxes: Dict[int, Any] = {}
+
+        def start_worker(wid: int) -> None:
+            """Start worker ``wid``; on failure leave no trace of it."""
+            inbox = context.Queue()
+            reader, writer = Pipe(duplex=False)
+            try:
                 proc = context.Process(
                     target=_worker_main,
-                    args=(wid, task, commit_dir, inboxes[wid], outbox),
+                    args=(wid, task, commit_dir, inbox, writer),
                     daemon=True,
                 )
                 proc.start()
-                processes[wid] = proc
+            except BaseException:
+                reader.close()
+                raise
+            finally:
+                # Only the worker may hold the write end, so its death
+                # reads as end-of-file here.
+                writer.close()
+            processes[wid] = proc
+            inboxes[wid] = inbox
+            outboxes[wid] = reader
+
+        def forget_worker(wid: int) -> None:
+            processes.pop(wid, None)
+            inboxes.pop(wid, None)
+            reader = outboxes.pop(wid, None)
+            if reader is not None:
+                reader.close()
+
+        try:
+            for wid in range(worker_count):
+                start_worker(wid)
         except Exception:
             for proc in processes.values():
                 proc.kill()
                 proc.join(timeout=1.0)
+            for wid in list(outboxes):
+                forget_worker(wid)
             raise _QueueStartupError("worker processes could not start")
 
         live = _live_coordinator(live_dir, self.stats, progress)
@@ -609,13 +648,26 @@ class WorkQueueExecutor(Executor):
 
         def respawn(dead_wid: int) -> None:
             nonlocal restarts_left, next_wid
-            processes.pop(dead_wid, None)
-            inboxes.pop(dead_wid, None)
+            forget_worker(dead_wid)
             if restarts_left <= 0 or not (pending or inflight):
                 return
             if processes and len(processes) >= len(pending) + len(inflight):
                 return  # plenty of survivors for the remaining work
             restarts_left -= 1
+            wid = next_wid
+            next_wid += 1
+            try:
+                start_worker(wid)
+            except Exception as exc:
+                self.stats.respawn_failures += 1
+                tel.instant(
+                    "worker respawn failed",
+                    category="executor",
+                    track="executor",
+                    dead=dead_wid,
+                    error=type(exc).__name__,
+                )
+                return
             self.stats.worker_restarts += 1
             tel.instant(
                 "worker respawn",
@@ -623,19 +675,6 @@ class WorkQueueExecutor(Executor):
                 track="executor",
                 dead=dead_wid,
             )
-            wid = next_wid
-            next_wid += 1
-            try:
-                inboxes[wid] = context.Queue()
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(wid, task, commit_dir, inboxes[wid], outbox),
-                    daemon=True,
-                )
-                proc.start()
-                processes[wid] = proc
-            except Exception:
-                inboxes.pop(wid, None)
 
         try:
             while pending or inflight:
@@ -649,8 +688,8 @@ class WorkQueueExecutor(Executor):
                                 config,
                                 (
                                     "WorkerDied",
-                                    "all workers died and the restart "
-                                    "budget is exhausted",
+                                    "all workers died and none could "
+                                    "be restarted",
                                     "",
                                 ),
                                 error_attempts.get(key, 0)
@@ -667,11 +706,17 @@ class WorkQueueExecutor(Executor):
                         inflight=len(inflight),
                         workers=len(processes),
                     )
-                try:
-                    kind, wid, task_id, payload = outbox.get(
-                        timeout=self.poll_interval
-                    )
-                except Empty:
+                message = None
+                senders = {reader: wid for wid, reader in outboxes.items()}
+                for reader in wait(list(senders), timeout=self.poll_interval):
+                    try:
+                        message = reader.recv()
+                        break
+                    except (EOFError, OSError):
+                        # The worker is gone; the liveness poll below
+                        # requeues its task and respawns it.
+                        outboxes.pop(senders[reader]).close()
+                if message is None:
                     now = perf_counter()
                     for wid in list(inflight):
                         proc = processes.get(wid)
@@ -718,6 +763,7 @@ class WorkQueueExecutor(Executor):
                         idle.remove(wid)
                         respawn(wid)
                     continue
+                kind, wid, task_id, payload = message
                 if kind == "done":
                     flight = inflight.pop(wid, None)
                     if flight is not None:
@@ -746,6 +792,8 @@ class WorkQueueExecutor(Executor):
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
+            for reader in outboxes.values():
+                reader.close()
             if live is not None:
                 try:
                     live.tick(

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.core.engine import Simulator
@@ -87,6 +89,37 @@ class TestCancellation:
         del keep
 
 
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("method", ["schedule_at", "schedule_after", "run_until"])
+    def test_rejected_without_side_effects(self, method, value):
+        sim = Simulator()
+        fired = []
+
+        def timer():
+            # Self-rescheduling: an unbounded run_until would drain it
+            # forever, so a NaN/inf target must be refused up front.
+            fired.append(sim.now)
+            if len(fired) < 1000:
+                sim.schedule_after(1.0, timer)
+
+        sim.schedule_at(1.0, timer)
+        with pytest.raises(SimulationError):
+            if method == "run_until":
+                sim.run_until(value)
+            else:
+                getattr(sim, method)(value, fired.append, "bad")
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.events_scheduled == 1
+        assert sim.pending_count() == 1
+        # The refusal leaves no latch or clock damage behind.
+        sim.run_until(3.0)
+        assert fired == [1.0, 2.0, 3.0]
+
+
 class TestRunUntil:
     def test_run_until_stops_at_boundary(self):
         sim = Simulator()
@@ -121,6 +154,126 @@ class TestRunUntil:
         sim.schedule_after(1.0, reenter)
         with pytest.raises(SimulationError):
             sim.run()
+
+
+class TestDrain:
+    """Behaviour of ``run_until`` while it drains the queue."""
+
+    def test_cancel_own_tail_then_compact_mid_drain(self):
+        # A callback cancels everything queued behind it at the same
+        # instant and forces a compaction; the drain loop must survive
+        # the heap being rebuilt under its feet.
+        sim = Simulator()
+        fired = []
+        tail = []
+
+        def head():
+            fired.append("head")
+            for handle in tail:
+                handle.cancel()
+            sim._compact()
+
+        sim.schedule_at(12.0, head)
+        for i in range(5):
+            tail.append(sim.schedule_at(12.0, lambda i=i: fired.append(i)))
+        sim.schedule_at(13.0, lambda: fired.append("after"))
+        sim.run_until(16.0)
+        assert fired == ["head", "after"]
+        assert sim.pending_count() == 0
+        assert sim.compactions >= 1
+
+    def test_reentrant_chain_at_same_instant_drains_to_completion(self):
+        sim = Simulator()
+        fired = []
+
+        def chain(depth):
+            fired.append(depth)
+            if depth < 25:
+                sim.schedule_at(sim.now, chain, depth + 1)
+
+        sim.schedule_at(3.0, chain, 0)
+        sim.run_until(3.0)
+        assert fired == list(range(26))
+        assert sim.now == 3.0
+        assert sim.pending_count() == 0
+
+    def test_peek_and_step_agree_with_run_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(25.0, lambda: fired.append("far"))
+        sim.schedule_at(1.0, lambda: fired.append("near"))
+        assert sim.peek_time() == 1.0
+        assert sim.step() is True
+        assert fired == ["near"]
+        assert sim.peek_time() == 25.0
+        sim.run()
+        assert fired == ["near", "far"]
+
+
+def _run_seeded_workload(sim, seed):
+    """Seeded random workload with re-entrant scheduling and cancels.
+
+    Drains in several ``run_until`` segments so stop/resume is part of
+    the workload.  Returns the fire trace as ``(time, priority, seq)``
+    keys.  Checks at every fire that the event is the smallest key
+    still pending — a re-entrant ``schedule_at(now)`` with a better
+    priority can follow an already-fired worse one, so the whole trace
+    is key-ordered only in time — and after every segment that fired +
+    cancelled + pending accounts for every scheduled event.
+    """
+    rng = random.Random(seed)
+    trace = []
+    handles = []
+    keys = {}
+    live = set()
+
+    def schedule(method, when, label):
+        handle = method(when, fire, label, priority=rng.randint(-2, 2))
+        keys[label] = (handle.time, handle.priority, handle.seq)
+        live.add(keys[label])
+        handles.append(handle)
+
+    def fire(label):
+        key = keys[label]
+        assert key == min(live)
+        assert key[0] == sim.now
+        live.remove(key)
+        trace.append(key)
+        roll = rng.random()
+        if roll < 0.25:
+            schedule(sim.schedule_at, sim.now, f"{label}.now")
+        elif roll < 0.55:
+            schedule(sim.schedule_after, rng.uniform(0.0, 32.0), f"{label}.later")
+        elif roll < 0.7 and handles:
+            victim = rng.choice(handles)
+            live.discard((victim.time, victim.priority, victim.seq))
+            victim.cancel()
+
+    for i in range(60):
+        schedule(sim.schedule_at, rng.uniform(0.0, 48.0), f"seed{i}")
+    horizon = 0.0
+    while sim.pending_count():
+        horizon += rng.uniform(0.5, 24.0)
+        sim.run_until(horizon)
+        assert sim.pending_count() == len(live)
+        assert (
+            sim.events_fired + sim.events_cancelled + sim.pending_count()
+            == sim.events_scheduled
+        )
+    return trace
+
+
+@pytest.mark.parametrize("seed", [2005, 77, 9, 424242])
+def test_seeded_workload_fires_in_key_order_and_balances_books(seed):
+    sim = Simulator()
+    trace = _run_seeded_workload(sim, seed)
+    times = [key[0] for key in trace]
+    assert times == sorted(times)
+    assert len(trace) == sim.events_fired
+    assert sim.events_fired + sim.events_cancelled == sim.events_scheduled
+    assert sim.events_cancelled > 0  # the workload exercises cancellation
+    assert sim.pending_count() == 0
+    assert _run_seeded_workload(Simulator(), seed) == trace
 
 
 class TestStepAndIntrospection:

@@ -13,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DEFAULT_TICK_WIDTH, ScheduledEvent, Simulator
+from repro.core.engine import ScheduledEvent, Simulator
 from repro.core.errors import SimulationError
-
-TICK_WIDTHS = [0.0, 7.5, DEFAULT_TICK_WIDTH]
 
 
 # ---------------------------------------------------------------------------
@@ -24,9 +22,9 @@ TICK_WIDTHS = [0.0, 7.5, DEFAULT_TICK_WIDTH]
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
-def test_run_until_fires_raises_resumes(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", [0.0, 7.5, 3600.0])
+def test_run_until_fires_raises_resumes(start):
+    sim = Simulator(start=start)
     order = []
 
     def boom():
@@ -35,31 +33,31 @@ def test_run_until_fires_raises_resumes(tick_width):
         sim.schedule_at(sim.now + 1.0, lambda: order.append("from-boom"))
         raise RuntimeError("injected")
 
-    sim.schedule_at(5.0, lambda: order.append("before"))
-    sim.schedule_at(15.0, boom)
-    sim.schedule_at(15.0, lambda: order.append("same-instant"))
-    sim.schedule_at(25.0, lambda: order.append("after"))
+    sim.schedule_at(start + 5.0, lambda: order.append("before"))
+    sim.schedule_at(start + 15.0, boom)
+    sim.schedule_at(start + 15.0, lambda: order.append("same-instant"))
+    sim.schedule_at(start + 25.0, lambda: order.append("after"))
 
     with pytest.raises(RuntimeError, match="injected"):
-        sim.run_until(100.0)
+        sim.run_until(start + 100.0)
 
     # Documented escape state: clock at the failing event's timestamp
     # (NOT advanced to t), the failing event counted as fired, every
     # survivor still queued, counters exact.
     assert order == ["before", "boom"]
-    assert sim.now == 15.0
+    assert sim.now == start + 15.0
     assert sim.events_fired == 2
     assert sim.pending_count() == 3  # same-instant, from-boom, after
 
     # A fresh run_until resumes exactly where the drain stopped.
-    sim.run_until(100.0)
+    sim.run_until(start + 100.0)
     assert order == ["before", "boom", "same-instant", "from-boom", "after"]
-    assert sim.now == 100.0
+    assert sim.now == start + 100.0
     assert sim.pending_count() == 0
     assert sim.events_fired == 5
     # The re-entrancy latch was released by the escape path too.
-    sim.schedule_at(200.0, lambda: order.append("tail"))
-    sim.run_until(200.0)
+    sim.schedule_at(start + 200.0, lambda: order.append("tail"))
+    sim.run_until(start + 200.0)
     assert order[-1] == "tail"
 
 
@@ -129,10 +127,10 @@ _OPS = st.lists(
 )
 
 
-@given(ops=_OPS, tick_width=st.sampled_from(TICK_WIDTHS))
+@given(ops=_OPS)
 @settings(max_examples=150, deadline=None)
-def test_interleaved_ops_keep_accounting_exact(ops, tick_width):
-    sim = Simulator(tick_width=tick_width)
+def test_interleaved_ops_keep_accounting_exact(ops):
+    sim = Simulator()
     handles = []
     scheduled = 0
     fired_ids = []

@@ -1,21 +1,19 @@
-"""Batch-drain fast-path tests for the calendar-wheel engine.
+"""Same-instant batch tests for the discrete-event engine.
 
-The engine drains one calendar tick at a time into a sorted run batch
-(see the ``core.engine`` module docstring).  These tests pin the batch
-layout's observable behaviour — ordering, cancellation, re-entrant
-scheduling, tick boundaries — against the pure-heap reference engine
-(``tick_width=0``), including on seeded random workloads.
+Events that share a timestamp form a batch that ``run_until`` drains in
+``(time, priority, seq)`` order.  These tests pin that order under
+cancellation and re-entrant scheduling from inside the batch, and the
+inclusive ``run_until`` limit.  The parametrized tests run each scenario
+from several clock origins (``Simulator(start=...)``), since the order
+must not depend on where the clock stands.
 """
-
-import random
 
 import pytest
 
-from repro.core.engine import DEFAULT_TICK_WIDTH, Simulator
-from repro.core.errors import SimulationError
+from repro.core.engine import Simulator
 
-#: Small tick so short workloads span many buckets.
-NARROW_TICK = 8.0
+#: Clock origins the batch scenarios are replayed from.
+ORIGINS = [0.0, 8.0, 3600.0]
 
 
 # ---------------------------------------------------------------------------
@@ -23,41 +21,22 @@ NARROW_TICK = 8.0
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tick_width", [0.0, NARROW_TICK, DEFAULT_TICK_WIDTH])
-def test_same_timestamp_batch_fires_in_priority_then_seq_order(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", ORIGINS)
+def test_same_timestamp_batch_fires_in_priority_then_seq_order(start):
+    sim = Simulator(start=start)
+    t = start + 10.0
     fired = []
     # Scheduled out of priority order on purpose; seq is insertion order.
-    sim.schedule_at(10.0, lambda: fired.append("p0-first"), priority=0)
-    sim.schedule_at(10.0, lambda: fired.append("p-5"), priority=-5)
-    sim.schedule_at(10.0, lambda: fired.append("p0-second"), priority=0)
-    sim.schedule_at(10.0, lambda: fired.append("p3"), priority=3)
-    # A later event in a future bucket must not leak into the batch.
-    sim.schedule_at(10.0 + 3 * NARROW_TICK, lambda: fired.append("later"))
-    sim.run_until(10.0)
+    sim.schedule_at(t, lambda: fired.append("p0-first"), priority=0)
+    sim.schedule_at(t, lambda: fired.append("p-5"), priority=-5)
+    sim.schedule_at(t, lambda: fired.append("p0-second"), priority=0)
+    sim.schedule_at(t, lambda: fired.append("p3"), priority=3)
+    # A later event must not leak into the batch.
+    sim.schedule_at(t + 24.0, lambda: fired.append("later"))
+    sim.run_until(t)
     assert fired == ["p-5", "p0-first", "p0-second", "p3"]
-    sim.run_until(1000.0)
+    sim.run_until(t + 1000.0)
     assert fired[-1] == "later"
-
-
-def test_batch_interleaves_with_heap_entries_in_total_order():
-    # Entries land in the heap when scheduled into the active tick and
-    # in the wheel otherwise; the drain must merge both sides by
-    # (time, priority, seq) regardless of residency.
-    sim = Simulator(tick_width=NARROW_TICK)
-    fired = []
-    sim.schedule_at(2.0, lambda: fired.append("early"))  # active tick -> heap
-    sim.schedule_at(NARROW_TICK + 1.0, lambda: fired.append("wheel-1"))
-    sim.schedule_at(NARROW_TICK + 3.0, lambda: fired.append("wheel-2"))
-
-    def schedule_into_next_tick():
-        # From inside the drain of tick 0, schedule into tick 1: the
-        # entry goes to the wheel and must merge between wheel-1/2.
-        sim.schedule_at(NARROW_TICK + 2.0, lambda: fired.append("mid"))
-
-    sim.schedule_at(3.0, schedule_into_next_tick)
-    sim.run_until(5 * NARROW_TICK)
-    assert fired == ["early", "wheel-1", "mid", "wheel-2"]
 
 
 # ---------------------------------------------------------------------------
@@ -65,53 +44,27 @@ def test_batch_interleaves_with_heap_entries_in_total_order():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tick_width", [0.0, NARROW_TICK, DEFAULT_TICK_WIDTH])
-def test_cancel_later_event_from_inside_drained_batch(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", ORIGINS)
+def test_cancel_later_event_from_inside_drained_batch(start):
+    sim = Simulator(start=start)
+    t = start + 10.0
     fired = []
     handles = {}
 
     def first():
         fired.append("first")
         handles["victim"].cancel()
-        # Residency invariant: the cancelled entry is still physically
-        # queued but pending_count is exact mid-drain.
+        # The cancelled entry is still physically queued, but
+        # pending_count is exact mid-drain.
         assert sim.pending_count() == 1  # only "survivor" remains live
 
-    sim.schedule_at(10.0, first)
-    handles["victim"] = sim.schedule_at(10.0, lambda: fired.append("victim"))
-    sim.schedule_at(10.0, lambda: fired.append("survivor"))
-    sim.run_until(20.0)
+    sim.schedule_at(t, first)
+    handles["victim"] = sim.schedule_at(t, lambda: fired.append("victim"))
+    sim.schedule_at(t, lambda: fired.append("survivor"))
+    sim.run_until(t + 10.0)
     assert fired == ["first", "survivor"]
     assert sim.events_cancelled == 1
     assert sim.pending_count() == 0
-
-
-def test_cancel_own_batch_tail_then_compact_mid_drain():
-    # A callback cancels everything behind it in the same batch and
-    # forces a compaction; the drain loop must survive the run batch
-    # being filtered under its feet.
-    sim = Simulator(tick_width=NARROW_TICK)
-    fired = []
-    tail = []
-
-    def head():
-        fired.append("head")
-        for handle in tail:
-            handle.cancel()
-        sim._compact()
-
-    # Times inside tick 1, so the entries travel wheel -> run batch
-    # (tick-0 times would sit in the heap and test the other side).
-    t = NARROW_TICK + 4.0
-    sim.schedule_at(t, head)
-    for i in range(5):
-        tail.append(sim.schedule_at(t, lambda i=i: fired.append(i)))
-    sim.schedule_at(t + 1.0, lambda: fired.append("after"))
-    sim.run_until(2 * NARROW_TICK)
-    assert fired == ["head", "after"]
-    assert sim.pending_count() == 0
-    assert sim.compactions >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +72,10 @@ def test_cancel_own_batch_tail_then_compact_mid_drain():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tick_width", [0.0, NARROW_TICK, DEFAULT_TICK_WIDTH])
-def test_reentrant_schedule_at_now_merges_in_key_order(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", ORIGINS)
+def test_reentrant_schedule_at_now_merges_in_key_order(start):
+    sim = Simulator(start=start)
+    t = start + 10.0
     fired = []
 
     def opener():
@@ -132,159 +86,25 @@ def test_reentrant_schedule_at_now_merges_in_key_order(tick_width):
         # Same timestamp, default priority: newest seq, fires last.
         sim.schedule_at(sim.now, lambda: fired.append("appended"))
 
-    sim.schedule_at(10.0, opener)
-    sim.schedule_at(10.0, lambda: fired.append("queued-1"))
-    sim.schedule_at(10.0, lambda: fired.append("queued-2"))
-    sim.run_until(10.0)
+    sim.schedule_at(t, opener)
+    sim.schedule_at(t, lambda: fired.append("queued-1"))
+    sim.schedule_at(t, lambda: fired.append("queued-2"))
+    sim.run_until(t)
     assert fired == ["opener", "urgent", "queued-1", "queued-2", "appended"]
 
 
-def test_reentrant_chain_at_same_instant_drains_to_completion():
-    sim = Simulator(tick_width=NARROW_TICK)
-    fired = []
-
-    def chain(depth):
-        fired.append(depth)
-        if depth < 25:
-            sim.schedule_at(sim.now, chain, depth + 1)
-
-    sim.schedule_at(3.0, chain, 0)
-    sim.run_until(3.0)
-    assert fired == list(range(26))
-    assert sim.now == 3.0
-    assert sim.pending_count() == 0
-
-
 # ---------------------------------------------------------------------------
-# Tick boundaries and bucket bounds.
+# The run_until limit.
 # ---------------------------------------------------------------------------
 
 
 def test_event_exactly_on_tick_boundary_fires_at_its_time():
-    sim = Simulator(tick_width=10.0)
+    # The limit of run_until is inclusive: an event exactly on it fires,
+    # with the clock at the event's own time.
+    sim = Simulator()
     fired = []
     sim.schedule_at(10.0, lambda: fired.append(sim.now))
     sim.run_until(9.999)
     assert fired == []
-    sim.run_until(10.0)  # final-tick limit is inclusive
+    sim.run_until(10.0)
     assert fired == [10.0]
-
-
-def test_awkward_tick_width_float_boundaries():
-    # 0.1 is not exactly representable; the bucket-index guards must
-    # keep b*tick <= time < (b+1)*tick using the same products the
-    # drain limits use, so no event is skipped or drained early.
-    sim = Simulator(tick_width=0.1)
-    fired = []
-    times = [i * 0.1 for i in range(200)]
-    for t in times:
-        sim.schedule_at(t, lambda t=t: fired.append(t))
-    sim.run_until(times[-1])
-    assert fired == times
-
-
-def test_sparse_ticks_are_skipped_not_walked():
-    sim = Simulator(tick_width=1.0)
-    fired = []
-    sim.schedule_at(0.5, lambda: fired.append("near"))
-    sim.schedule_at(10_000_000.5, lambda: fired.append("far"))
-    # If the drain walked every empty tick this would take ~10M
-    # iterations; the tick-skip makes it two.
-    sim.run_until(10_000_001.0)
-    assert fired == ["near", "far"]
-
-
-def test_negative_tick_width_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(tick_width=-1.0)
-
-
-def test_peek_and_step_agree_after_wheel_population():
-    # step/peek_time fold the wheel back into the heap; the global
-    # minimum must be the same event the run loop would pick.
-    sim = Simulator(tick_width=NARROW_TICK)
-    fired = []
-    sim.schedule_at(3 * NARROW_TICK + 1.0, lambda: fired.append("far"))
-    sim.schedule_at(1.0, lambda: fired.append("near"))
-    assert sim.peek_time() == 1.0
-    assert sim.step() is True
-    assert fired == ["near"]
-    assert sim.peek_time() == 3 * NARROW_TICK + 1.0
-    sim.run()
-    assert fired == ["near", "far"]
-
-
-# ---------------------------------------------------------------------------
-# Differential pinning against the pure-heap reference engine.
-# ---------------------------------------------------------------------------
-
-
-def _run_seeded_workload(sim, seed):
-    """Seeded random workload with re-entrant scheduling and cancels.
-
-    Returns the fire trace.  Both engines replay the identical seed;
-    any ordering divergence shows up as a trace mismatch (the RNG is
-    consumed inside callbacks, so even the *first* divergence is
-    caught, not averaged away).
-    """
-    rng = random.Random(seed)
-    trace = []
-    handles = []
-
-    def fire(label):
-        trace.append((sim.now, label))
-        roll = rng.random()
-        if roll < 0.25:
-            # Re-entrant same-instant schedule.
-            handles.append(
-                sim.schedule_at(
-                    sim.now,
-                    fire,
-                    f"{label}.now",
-                    priority=rng.randint(-2, 2),
-                )
-            )
-        elif roll < 0.55:
-            # Forward schedule spanning several ticks.
-            handles.append(
-                sim.schedule_after(
-                    rng.uniform(0.0, 4 * NARROW_TICK),
-                    fire,
-                    f"{label}.later",
-                    priority=rng.randint(-2, 2),
-                )
-            )
-        elif roll < 0.7 and handles:
-            rng.choice(handles).cancel()
-
-    for i in range(60):
-        handles.append(
-            sim.schedule_at(
-                rng.uniform(0.0, 6 * NARROW_TICK),
-                fire,
-                f"seed{i}",
-                priority=rng.randint(-2, 2),
-            )
-        )
-    # Drain in several segments so run_until stop/resume mid-workload
-    # is part of the differential surface.
-    horizon = 0.0
-    while sim.pending_count():
-        horizon += rng.uniform(0.5, 3 * NARROW_TICK)
-        sim.run_until(horizon)
-    return trace
-
-
-@pytest.mark.parametrize("seed", [2005, 77, 9, 424242])
-def test_batched_engine_matches_pure_heap_reference(seed):
-    reference = Simulator(tick_width=0.0)
-    ref_trace = _run_seeded_workload(reference, seed)
-    for tick_width in (NARROW_TICK, DEFAULT_TICK_WIDTH):
-        candidate = Simulator(tick_width=tick_width)
-        trace = _run_seeded_workload(candidate, seed)
-        assert trace == ref_trace, f"divergence at tick_width={tick_width}"
-        assert candidate.events_fired == reference.events_fired
-        assert candidate.events_scheduled == reference.events_scheduled
-        assert candidate.events_cancelled == reference.events_cancelled
-        assert candidate.pending_count() == 0
-        assert candidate.now == pytest.approx(reference.now)

@@ -106,6 +106,7 @@ def test_executor_stats_shape_and_single_mirror():
         "executor.task_retries_total",
         "executor.resumed_shards_total",
         "executor.worker_restarts_total",
+        "executor.respawn_failures_total",
         "executor.watchdog_fires_total",
         "executor.serial_fallbacks_total",
     ):
@@ -404,6 +405,59 @@ def test_workqueue_heals_killed_worker(tmp_path):
     assert json.dumps(merged.summary.to_dict(), sort_keys=True) == canonical(
         mono
     )
+
+
+class _RespawnFailsContext:
+    """Real worker processes, except that every start after the first
+    ``initial`` raises: the replacement for a dead worker never runs."""
+
+    def __init__(self, initial: int) -> None:
+        real = multiprocessing.get_context()
+        self.Queue = real.Queue
+        starts = []
+
+        class Process(real.Process):
+            def start(self) -> None:
+                starts.append(self)
+                if len(starts) > initial:
+                    raise OSError("process start denied")
+                super().start()
+
+        self.Process = Process
+
+
+def test_workqueue_counts_failed_respawn(monkeypatch, tmp_path):
+    """The killed-worker case with the respawn's ``start`` failing: no
+    restart is counted, the failure is tallied, mirrored and traced,
+    and with no survivor the in-flight shard fails visibly."""
+    if not _processes_work():
+        pytest.skip("multiprocessing unavailable in this environment")
+    context = _RespawnFailsContext(initial=1)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
+    config = small_campaign(phones=12)
+    plan = plan_shards(config, 4)
+    victim = plan[2].fleet.phone_range
+    flag = str(tmp_path / "murdered.flag")
+    backend = WorkQueueExecutor(1, steal=False)
+    tel = Telemetry(TELEMETRY_TRACE)
+    with pytest.raises(CampaignExecutionError, match="WorkerDied"):
+        backend.execute_shards(
+            [(c.fleet.resolved_range(), c) for c in plan],
+            MurderousTask(victim[0], flag, os.getpid()),
+            str(tmp_path / "commits"),
+            tel=tel,
+            retries=0,
+        )
+    assert os.path.exists(flag), "the murder never happened"
+    assert backend.stats.worker_restarts == 0
+    assert backend.stats.respawn_failures == 1
+    assert backend.stats.to_dict()["executor.respawn_failures_total"] == 1
+    assert len(tel.tracer.spans_named("worker respawn failed")) == 1
+    assert tel.tracer.spans_named("worker respawn") == []
+    backend.stats.sample(tel)
+    totals = tel.registry.counter_totals()
+    assert totals["executor.respawn_failures_total"] == 1.0
+    assert "executor.worker_restarts_total" not in totals
 
 
 class HangOnce(ShardTask):
