@@ -1,11 +1,13 @@
-"""Ingestion: collected log lines -> per-phone record streams.
+"""Ingestion: collected logs -> per-phone record streams.
 
-The only door into the analysis.  Input is what the collection server
-hands over — raw lines (the on-disk text contract) or record streams
-(the structured fast path, which skips the serialize→reparse round
-trip).  Text parsing is tolerant of the truncated lines a battery pull
-can leave behind; both doors produce identical datasets because writers
-quantize floats to wire precision at record construction.
+The only way into the analysis.  :meth:`Dataset.from_lines` reads raw
+log lines, the on-disk text contract that ``repro analyze`` and
+exported logs use; :meth:`Dataset.from_collector` is how a campaign
+ingests, taking record objects straight from the collection server and
+skipping the serialize→reparse round trip.  Text parsing is tolerant of
+the truncated lines a battery pull can leave behind; both produce
+identical datasets because writers quantize floats to wire precision at
+record construction.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ from repro.core.records import (
     UserReportRecord,
 )
 from repro.logger.logfile import FIELD_SEPARATOR, parse_lines
-
-#: Pipeline names accepted by :meth:`Dataset.from_collector`.
-PIPELINE_STRUCTURED = "structured"
-PIPELINE_TEXT = "text"
-PIPELINES = (PIPELINE_STRUCTURED, PIPELINE_TEXT)
 
 #: Corruption classes an unparseable line is filed under.
 CORRUPTION_UNKNOWN_TAG = "unknown-tag"
@@ -304,30 +301,20 @@ class Dataset:
 
     @classmethod
     def from_collector(
-        cls,
-        collector,
-        end_time: Optional[float] = None,
-        pipeline: str = PIPELINE_STRUCTURED,
+        cls, collector, end_time: Optional[float] = None
     ) -> "Dataset":
         """Ingest straight from a :class:`CollectionServer`.
 
-        ``pipeline`` selects the door: ``"structured"`` consumes the
-        collector's record objects directly; ``"text"`` serializes and
-        reparses every line, exercising the on-disk contract.  Both
-        produce identical datasets, including identical quarantine
-        accounting for corrupted entries.
+        Consumes the collector's record objects directly, skipping the
+        serialize→reparse round trip.  The result, quarantine accounting
+        included, is identical to :meth:`from_lines` over
+        ``collector.dataset()`` (pinned by ``test_pipeline_equivalence``).
         """
-        if pipeline == PIPELINE_STRUCTURED:
-            report = IngestReport()
-            return cls.from_records(
-                collector.record_dataset(on_error=report.quarantine),
-                end_time=end_time,
-                ingest_report=report,
-            )
-        if pipeline == PIPELINE_TEXT:
-            return cls.from_lines(collector.dataset(), end_time=end_time)
-        raise AnalysisError(
-            f"unknown pipeline {pipeline!r}; expected one of {PIPELINES}"
+        report = IngestReport()
+        return cls.from_records(
+            collector.record_dataset(on_error=report.quarantine),
+            end_time=end_time,
+            ingest_report=report,
         )
 
     # -- convenience views ----------------------------------------------------------

@@ -60,11 +60,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from typing import List, Optional
 
 from repro.analysis.coalescence import DEFAULT_WINDOW
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINES, Dataset
+from repro.analysis.ingest import Dataset
 from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
@@ -97,6 +99,23 @@ from repro.robustness.experiment import (
 from repro.robustness.plan import FaultPlan
 
 
+def _positive(kind: type):
+    """An argparse ``type``: parse with ``kind``, reject anything not > 0.
+
+    Non-finite values are rejected too, so a bad flag is a usage error
+    naming the flag, never a traceback from deep inside the campaign.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -107,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="simulate a deployment campaign and analyse it"
     )
-    campaign.add_argument("--phones", type=int, default=25)
-    campaign.add_argument("--months", type=float, default=14.0)
+    campaign.add_argument("--phones", type=_positive(int), default=25)
+    campaign.add_argument("--months", type=_positive(float), default=14.0)
     campaign.add_argument("--seed", type=int, default=2005)
     campaign.add_argument(
         "--export", metavar="DIR", default=None,
@@ -123,12 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append the extension analyses (downtime, reliability, "
         "variability, trends)",
     )
-    campaign.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door: 'structured' hands collected record objects "
-        "straight to the analysis; 'text' forces the serialize->reparse "
-        "round trip (results are identical)",
-    )
 
     analyze = sub.add_parser(
         "analyze", help="analyse previously exported log files"
@@ -139,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="campaign end (seconds since epoch); default: last record",
     )
     analyze.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW,
+        "--window", type=_positive(float), default=DEFAULT_WINDOW,
         help="panic/HL coalescence window in seconds (paper: 300)",
     )
     analyze.add_argument(
@@ -159,10 +172,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", default="11,22,33,44,55",
         help="comma-separated seed list (default: 11,22,33,44,55)",
     )
-    sweep.add_argument("--phones", type=int, default=25)
-    sweep.add_argument("--months", type=float, default=14.0)
+    sweep.add_argument("--phones", type=_positive(int), default=25)
+    sweep.add_argument("--months", type=_positive(float), default=14.0)
     sweep.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_positive(int), default=4,
         help="worker processes (1 = serial in-process)",
     )
     sweep.add_argument(
@@ -170,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cache campaign summaries here; repeated sweeps are free",
     )
     sweep.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW,
+        "--window", type=_positive(float), default=DEFAULT_WINDOW,
         help="panic/HL coalescence window in seconds (paper: 300)",
     )
     sweep.add_argument(
@@ -187,15 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf", help="measure the campaign pipeline (wall time, events/s)"
     )
-    perf.add_argument("--phones", type=int, default=25)
-    perf.add_argument("--months", type=float, default=14.0)
+    perf.add_argument("--phones", type=_positive(int), default=25)
+    perf.add_argument("--months", type=_positive(float), default=14.0)
     perf.add_argument("--seed", type=int, default=2005)
     perf.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door to measure (default: structured)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=1,
+        "--repeats", type=_positive(int), default=1,
         help="clean runs to take the best of (default: 1)",
     )
     perf.add_argument(
@@ -250,13 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "output", help="Chrome trace_event JSON file to write "
         "(open in chrome://tracing or https://ui.perfetto.dev)",
     )
-    trace.add_argument("--phones", type=int, default=6)
-    trace.add_argument("--months", type=float, default=2.0)
+    trace.add_argument("--phones", type=_positive(int), default=6)
+    trace.add_argument("--months", type=_positive(float), default=2.0)
     trace.add_argument("--seed", type=int, default=2005)
-    trace.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for the traced run (default: structured)",
-    )
     trace.add_argument(
         "--top", type=int, default=15,
         help="rows in the hotspot summary (default: 15)",
@@ -266,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "faults",
         help="fault-injection degradation curve for the collection path",
     )
-    faults.add_argument("--phones", type=int, default=6)
-    faults.add_argument("--months", type=float, default=2.0)
+    faults.add_argument("--phones", type=_positive(int), default=6)
+    faults.add_argument("--months", type=_positive(float), default=2.0)
     faults.add_argument("--seed", type=int, default=2005)
     faults.add_argument(
         "--plan-seed", type=int, default=777,
@@ -282,10 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{x:g}" for x in DEFAULT_INTENSITIES),
         help="comma-separated intensity multipliers applied to the "
         "preset (default: 0.25,0.5,1,2)",
-    )
-    faults.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for every run (default: structured)",
     )
     faults.add_argument(
         "--resilience", action="store_true",
@@ -316,20 +317,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one large campaign as K deterministic phone-range "
         "shards with streaming merge",
     )
-    megafleet.add_argument("--phones", type=int, default=10000)
-    megafleet.add_argument("--months", type=float, default=2.0)
+    megafleet.add_argument("--phones", type=_positive(int), default=10000)
+    megafleet.add_argument("--months", type=_positive(float), default=2.0)
     megafleet.add_argument("--seed", type=int, default=2005)
     megafleet.add_argument(
-        "--shards", type=int, default=16,
+        "--shards", type=_positive(int), default=16,
         help="phone-range shards to split the fleet into (default: 16)",
     )
     megafleet.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_positive(int), default=4,
         help="work-stealing worker processes (1 = serial in-process)",
-    )
-    megafleet.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for every shard (default: structured)",
     )
     megafleet.add_argument(
         "--retries", type=int, default=0,
@@ -337,30 +334,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 0)",
     )
     megafleet.add_argument(
-        "--skew", type=float, default=None, metavar="FACTOR",
+        "--skew", type=_positive(float), default=None, metavar="FACTOR",
         help="deliberately unbalance the shard plan: the first shard "
         "gets FACTOR times the weight of each remaining shard "
         "(benchmarks the work-stealing backend)",
     )
     megafleet.add_argument(
-        "--spill", metavar="DIR", default=None,
-        help="directory for shard commits when no --cache is "
-        "given (default: a private temp dir, removed after the merge)",
-    )
-    megafleet.add_argument(
         "--cache", metavar="DIR", default=None,
-        help="cache shard results here; repeated runs re-merge for "
+        help="commit shard results here; repeated runs re-merge for "
         "free, and an interrupted (even kill -9) run resumes from its "
-        "committed shards",
+        "committed shards (default: a private temp dir, removed after "
+        "the merge)",
     )
     megafleet.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW,
+        "--window", type=_positive(float), default=DEFAULT_WINDOW,
         help="panic/HL coalescence window in seconds (paper: 300)",
     )
     megafleet.add_argument(
         "--live", action="store_true",
         help="stream worker heartbeats into a durable op-log under the "
-        "run directory (--cache or --spill), print rolling fleet KPIs "
+        "run directory (--cache, required), print rolling fleet KPIs "
         "to stderr, and write a Prometheus snapshot (metrics.prom) on "
         "each fold; 'repro monitor <dir>' can watch from another "
         "terminal.  Results are bit-identical to a non-live run",
@@ -387,12 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "run_dir",
-        help="the campaign's run directory (the --cache/--spill dir of "
+        help="the campaign's run directory (the --cache dir of "
         "a 'megafleet --live' run; holds the live/ op-log and the "
         "committed shards)",
     )
     monitor.add_argument(
-        "--interval", type=float, default=2.0,
+        "--interval", type=_positive(float), default=2.0,
         help="seconds between dashboard refreshes (default: 2)",
     )
     monitor.add_argument(
@@ -410,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(a resumed run may append more)",
     )
     monitor.add_argument(
-        "--window", type=float, default=60.0,
+        "--window", type=_positive(float), default=60.0,
         help="rolling window in wall seconds for throughput KPIs "
         "(default: 60)",
     )
@@ -428,9 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     fleet = FleetConfig(phone_count=args.phones, duration=args.months * MONTH)
-    result = run_campaign(
-        CampaignConfig(fleet=fleet, seed=args.seed), pipeline=args.pipeline
-    )
+    result = run_campaign(CampaignConfig(fleet=fleet, seed=args.seed))
     if args.headline_only:
         print(result.report.render_headline())
     elif args.extended:
@@ -444,6 +435,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if not os.path.isdir(args.directory):
+        print(f"no such directory: {args.directory}", file=sys.stderr)
+        return 1
     lines = load_lines_from_dir(args.directory)
     if not lines:
         print(f"no .log files found in {args.directory}", file=sys.stderr)
@@ -471,8 +465,6 @@ def _parse_seeds(text: str) -> List[int]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     configs = [
         CampaignConfig(
             fleet=FleetConfig(
@@ -562,18 +554,14 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
     )
-    try:
-        result = measure_campaign(
-            config,
-            pipeline=args.pipeline,
-            repeats=args.repeats,
-            profile=args.profile,
-            profile_top=args.profile_top,
-            counters=args.counters,
-            trace_path=args.trace_path,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    result = measure_campaign(
+        config,
+        repeats=args.repeats,
+        profile=args.profile,
+        profile_top=args.profile_top,
+        counters=args.counters,
+        trace_path=args.trace_path,
+    )
     if args.as_json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -641,7 +629,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     tel = Telemetry(TELEMETRY_TRACE)
-    run_campaign(config, pipeline=args.pipeline, telemetry=tel)
+    run_campaign(config, telemetry=tel)
     trace = chrome_trace(tel.tracer, tel.registry)
     problems = validate_chrome_trace(trace)
     if problems:
@@ -684,7 +672,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         config,
         base_plan=base_plan,
         intensities=intensities,
-        pipeline=args.pipeline,
     )
     if args.resilience:
         report.resilience = run_resilience_probe(config, base_plan)
@@ -726,8 +713,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
     from repro.experiments.shard import run_sharded_campaign, shard_cache
     from repro.experiments.summary import CampaignSummary, headline_figures
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     config = CampaignConfig(
         fleet=FleetConfig(
             phone_count=args.phones, duration=args.months * MONTH
@@ -741,8 +726,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         raise SystemExit(f"cannot use cache directory {args.cache!r}: {exc}")
     weights = None
     if args.skew is not None:
-        if args.skew <= 0:
-            raise SystemExit(f"--skew must be > 0, got {args.skew:g}")
         weights = [args.skew] + [1.0] * (args.shards - 1)
     progress = None
     if args.live:
@@ -757,10 +740,8 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             config,
             shards=args.shards,
             workers=args.workers,
-            pipeline=args.pipeline,
             cache=cache,
             retries=args.retries,
-            spill_dir=args.spill,
             weights=weights,
             live=args.live,
             progress=progress,
@@ -777,7 +758,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         "shards": result.shard_count,
         "shard_ranges": [list(r) for r in result.shard_ranges],
         "workers": args.workers,
-        "pipeline": args.pipeline,
         "executor": result.executor,
         "counters": result.stats.to_dict(),
         "events_fired": result.events_fired,
@@ -807,7 +787,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
     verified: Optional[bool] = None
     if args.verify:
         mono = CampaignSummary.from_result(
-            run_campaign(config, pipeline=args.pipeline)
+            run_campaign(config)
         )
         verified = json.dumps(mono.to_dict(), sort_keys=True) == json.dumps(
             summary.to_dict(), sort_keys=True
@@ -820,7 +800,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         lines = [
             f"Mega-fleet: {args.phones} phones x {args.months:g} months, "
             f"{result.shard_count} shards x {args.workers} workers "
-            f"({result.executor} executor, {args.pipeline} ingest)",
+            f"({result.executor} executor)",
             f"wall time:       {wall:.2f}s",
             f"events/second:   {report['events_per_second']:,.0f} "
             f"({result.events_fired:,} events)",
@@ -862,7 +842,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import os
     from time import sleep
 
     from repro.observability.live import (
@@ -875,8 +854,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.run_dir):
         print(f"no such run directory: {args.run_dir}", file=sys.stderr)
         return 1
-    if args.interval <= 0:
-        raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
     folder = LiveFolder(args.run_dir, window=args.window)
     frames = 1 if args.once else args.frames
     shown = 0

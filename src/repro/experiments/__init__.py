@@ -10,7 +10,7 @@
 * :mod:`executors` — execution backends (serial, work-stealing work
   queue) behind one :class:`Executor` face.
 * :mod:`shard`    — sharded mega-fleet campaigns with work stealing,
-  durable commits (kill-9 resumable), and spill-to-disk merge.
+  durable commits (kill-9 resumable), and a streaming merge from disk.
 * :mod:`paper`    — the paper's published numbers, as data.
 * :mod:`compare`  — paper-vs-measured comparison tables.
 """

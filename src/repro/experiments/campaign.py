@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINE_TEXT, Dataset
+from repro.analysis.ingest import Dataset
 from repro.analysis.report import ReproductionReport, build_report
 from repro.experiments.config import CampaignConfig
 from repro.observability.telemetry import Telemetry, current_telemetry
 from repro.phone.fleet import Fleet
 
-__all__ = [
-    "CampaignResult",
-    "run_campaign",
-    "PIPELINE_STRUCTURED",
-    "PIPELINE_TEXT",
-]
+__all__ = ["CampaignResult", "run_campaign", "STAGES"]
+
+#: The campaign's stages, in run order: building and running the fleet,
+#: ingesting what it collected, and building the report.
+STAGES = ("simulate", "ingest", "report")
 
 
 @dataclass
@@ -31,6 +31,11 @@ class CampaignResult:
     #: JSON-native telemetry snapshot (``Telemetry.snapshot()``), empty
     #: when the campaign ran with telemetry off.
     telemetry: Dict[str, Any] = field(default_factory=dict)
+    #: Stage name -> wall seconds (:func:`time.perf_counter`).
+    stages: Dict[str, float] = field(default_factory=dict)
+    #: Stage name -> CPU seconds (:func:`time.process_time`), which do
+    #: not accumulate while the scheduler runs someone else.
+    stages_cpu: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ground_truth(self) -> dict:
@@ -39,11 +44,12 @@ class CampaignResult:
 
 
 def _sample_ingest_metrics(registry, dataset: Dataset) -> None:
-    """Ingest-side counters, identical across both pipeline doors.
+    """Ingest-side counters: records entering the analysis, quarantine.
 
-    Record counts and quarantine accounting are pinned byte-identical
-    between ``structured`` and ``text`` ingest, so these counters hold
-    the determinism guarantee the telemetry tests rely on.
+    Both are deterministic in the seed and the fault plan, and identical
+    to what :meth:`Dataset.from_lines` yields for the same collected
+    lines, so these counters hold the determinism guarantee the
+    telemetry tests rely on.
     """
     records = registry.counter(
         "ingest.records_total", help="parsed records entering the analysis"
@@ -61,9 +67,13 @@ def _sample_ingest_metrics(registry, dataset: Dataset) -> None:
             quarantined.series(corruption=cls).value += float(count)
 
 
+def _stamp() -> Tuple[float, float]:
+    """One stage boundary: wall and CPU clocks, read back to back."""
+    return time.perf_counter(), time.process_time()
+
+
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    pipeline: str = PIPELINE_STRUCTURED,
     collector: Optional[object] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> CampaignResult:
@@ -71,21 +81,19 @@ def run_campaign(
 
     The analysis operates exclusively on what the collection server
     shipped; the fleet object is returned for ground-truth validation
-    only.  ``pipeline`` picks the ingest door ("structured" record
-    objects by default; "text" forces the serialize→reparse round
-    trip) — results are identical either way, so it is an execution
-    detail, not part of :class:`CampaignConfig`.  ``collector``
-    substitutes the fleet's collection server (the robustness harness
-    routes it through a faulty transfer link); ``None`` keeps the
-    default perfect link.  ``telemetry`` (or the process-current
-    instance) is installed for the duration: at ``metrics`` level the
-    campaign's counters land in its registry and in
-    ``CampaignResult.telemetry``; at ``trace`` level the run also
-    produces the simulate/ingest/report stage spans.
+    only.  ``collector`` substitutes the fleet's collection server (the
+    robustness harness routes it through a faulty transfer link);
+    ``None`` keeps the default perfect link.  ``telemetry`` (or the
+    process-current instance) is installed for the duration: at
+    ``metrics`` level the campaign's counters land in its registry and
+    in ``CampaignResult.telemetry``; at ``trace`` level the run also
+    produces the simulate/ingest/report stage spans.  Every run times
+    its :data:`STAGES` into ``CampaignResult.stages``/``stages_cpu``.
     """
     config = config if config is not None else CampaignConfig.paper_scale()
     tel = telemetry if telemetry is not None else current_telemetry()
     with tel.installed():
+        marks: List[Tuple[float, float]] = [_stamp()]
         fleet = Fleet(config.fleet, seed=config.seed, collector=collector)
         # Suspend cyclic GC across the whole pipeline, not just the event
         # loop (Fleet.run nests its own suspension, which is a no-op here):
@@ -95,9 +103,6 @@ def run_campaign(
         if gc_was_enabled:
             gc.disable()
         try:
-            # The ingest door is deliberately NOT a span arg: both doors
-            # must produce identical sim-time span trees (it lives in
-            # the summary's config instead).
             with tel.span(
                 "campaign",
                 category="campaign",
@@ -106,14 +111,15 @@ def run_campaign(
             ):
                 with tel.span("simulate", category="stage"):
                     fleet.run()
+                marks.append(_stamp())
                 with tel.span("ingest", category="stage"):
                     dataset = Dataset.from_collector(
-                        fleet.collector,
-                        end_time=config.fleet.duration,
-                        pipeline=pipeline,
+                        fleet.collector, end_time=config.fleet.duration
                     )
+                marks.append(_stamp())
                 with tel.span("report", category="stage"):
                     report = build_report(dataset, window=config.coalescence_window)
+                marks.append(_stamp())
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -122,10 +128,13 @@ def run_campaign(
             fleet.sample_metrics(tel.registry)
             _sample_ingest_metrics(tel.registry, dataset)
             snapshot = tel.snapshot()
+    spans = list(zip(STAGES, marks, marks[1:]))
     return CampaignResult(
         config=config,
         fleet=fleet,
         dataset=dataset,
         report=report,
         telemetry=snapshot,
+        stages={name: end[0] - start[0] for name, start, end in spans},
+        stages_cpu={name: end[1] - start[1] for name, start, end in spans},
     )

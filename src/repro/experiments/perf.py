@@ -1,9 +1,10 @@
 """Reproducible performance harness for the campaign pipeline.
 
 The hot path of this repository is ``run_campaign``: simulate the fleet,
-ingest the collected logs, build the report.  This module measures that
-path the same way every time, so performance claims are comparable
-across commits and machines:
+ingest the collected logs, build the report.  This module times that
+entry point itself, from its own per-stage clock readings, the same way
+every time, so performance claims are comparable across commits and
+machines:
 
 * **wall time** per stage (simulate / ingest / report) and total;
 * **throughput** as simulator events per second;
@@ -25,25 +26,22 @@ Run it from the command line::
 from __future__ import annotations
 
 import cProfile
-import gc
 import json
 import pstats
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINES, Dataset
-from repro.analysis.report import build_report
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.observability.export import write_chrome_trace
 from repro.observability.telemetry import (
     TELEMETRY_METRICS,
+    TELEMETRY_OFF,
     TELEMETRY_TRACE,
     Telemetry,
 )
-from repro.phone.fleet import Fleet
 
 #: CI fails when the measured wall time exceeds the committed baseline
 #: by more than this factor (generous: CI runners are shared machines).
@@ -62,7 +60,6 @@ class PerfResult:
     phones: int
     months: float
     seed: int
-    pipeline: str
     repeats: int
     #: Stage name -> wall seconds, for the best (fastest-total) repeat.
     stages: Dict[str, float]
@@ -97,7 +94,6 @@ class PerfResult:
                 "phones": self.phones,
                 "months": self.months,
                 "seed": self.seed,
-                "pipeline": self.pipeline,
                 "repeats": self.repeats,
             },
             "wall_seconds": round(self.wall_seconds, 4),
@@ -131,7 +127,7 @@ class PerfResult:
         """Human-readable report."""
         lines = [
             f"campaign perf: {self.phones} phones x {self.months:g} months, "
-            f"seed {self.seed}, pipeline {self.pipeline!r}",
+            f"seed {self.seed}",
             f"  wall time      : {self.wall_seconds:.3f} s "
             f"(best of {self.repeats}: "
             + ", ".join(f"{t:.3f}" for t in self.all_wall_seconds)
@@ -169,51 +165,8 @@ class PerfResult:
         return "\n".join(lines)
 
 
-def _timed_pipeline(
-    config: CampaignConfig, pipeline: str
-) -> Tuple[Dict[str, float], Dict[str, float], int, int]:
-    """One full campaign with per-stage wall *and* CPU timing.
-
-    Mirrors ``run_campaign`` exactly (including the GC suspension across
-    all three stages) so the numbers describe the real entry point.
-    Each stage boundary samples :func:`time.perf_counter` (wall) and
-    :func:`time.process_time` (CPU) back to back; CPU seconds do not
-    accumulate while the scheduler runs someone else, which is what
-    makes them the stable regression metric on shared machines.
-    """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        t0, c0 = time.perf_counter(), time.process_time()
-        fleet = Fleet(config.fleet, seed=config.seed)
-        fleet.run()
-        t1, c1 = time.perf_counter(), time.process_time()
-        dataset = Dataset.from_collector(
-            fleet.collector, end_time=config.fleet.duration, pipeline=pipeline
-        )
-        t2, c2 = time.perf_counter(), time.process_time()
-        build_report(dataset, window=config.coalescence_window)
-        t3, c3 = time.perf_counter(), time.process_time()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    stages = {
-        "simulate": t1 - t0,
-        "ingest": t2 - t1,
-        "report": t3 - t2,
-    }
-    stages_cpu = {
-        "simulate": c1 - c0,
-        "ingest": c2 - c1,
-        "report": c3 - c2,
-    }
-    return stages, stages_cpu, fleet.sim.events_fired, fleet.collector.total_lines
-
-
 def measure_campaign(
     config: Optional[CampaignConfig] = None,
-    pipeline: str = PIPELINE_STRUCTURED,
     repeats: int = 1,
     profile: bool = False,
     profile_top: int = 12,
@@ -222,34 +175,32 @@ def measure_campaign(
 ) -> PerfResult:
     """Measure the campaign pipeline; returns the best of ``repeats``.
 
-    Wall numbers always come from clean (unprofiled, untelemetered)
-    runs.  With ``profile=True`` one *additional* run executes under
-    cProfile to produce the hot-function table.  With ``counters=True``
-    (the default) one additional metrics-level run samples the headline
-    counter totals — deterministic in the seed, so they describe the
-    timed runs exactly; ``trace_path`` upgrades that run to trace level
-    and writes its Chrome-trace JSON there.
+    Every timed run is a plain :func:`run_campaign` with telemetry off,
+    so the numbers describe the real entry point, split by its own
+    stage timings (wall and CPU).  With ``profile=True`` one
+    *additional* run executes under cProfile to produce the
+    hot-function table.  With ``counters=True`` (the default) one
+    additional metrics-level run samples the headline counter totals —
+    deterministic in the seed, so they describe the timed runs exactly;
+    ``trace_path`` upgrades that run to trace level and writes its
+    Chrome-trace JSON there.
     """
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}; expected {PIPELINES}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     config = config if config is not None else CampaignConfig.paper_scale()
 
-    best: Optional[
-        Tuple[float, Dict[str, float], Dict[str, float], int, int]
-    ] = None
-    all_walls: List[float] = []
-    all_cpus: List[float] = []
+    runs: List[Tuple[Dict[str, float], Dict[str, float]]] = []
     for _ in range(repeats):
-        stages, stages_cpu, events, records = _timed_pipeline(config, pipeline)
-        total = sum(stages.values())
-        all_walls.append(total)
-        all_cpus.append(sum(stages_cpu.values()))
-        if best is None or total < best[0]:
-            best = (total, stages, stages_cpu, events, records)
-    assert best is not None
-    wall, stages, stages_cpu, events, records = best
+        result = run_campaign(config, telemetry=Telemetry(TELEMETRY_OFF))
+        runs.append((result.stages, result.stages_cpu))
+        # Deterministic in the config, so any repeat's counts will do.
+        events = result.fleet.sim.events_fired
+        records = result.fleet.collector.total_lines
+        # Drop the campaign graph before the next repeat builds its own.
+        del result
+    all_walls = [sum(stages.values()) for stages, _cpu in runs]
+    stages, stages_cpu = runs[all_walls.index(min(all_walls))]
+    wall = sum(stages.values())
 
     top_rows: Optional[List[Dict[str, Any]]] = None
     profiled_wall: Optional[float] = None
@@ -257,7 +208,7 @@ def measure_campaign(
         profiler = cProfile.Profile()
         t0 = time.perf_counter()
         profiler.enable()
-        _timed_pipeline(config, pipeline)
+        run_campaign(config, telemetry=Telemetry(TELEMETRY_OFF))
         profiler.disable()
         profiled_wall = time.perf_counter() - t0
         stats = pstats.Stats(profiler)
@@ -281,7 +232,7 @@ def measure_campaign(
     totals: Optional[Dict[str, float]] = None
     if counters or trace_path:
         tel = Telemetry(TELEMETRY_TRACE if trace_path else TELEMETRY_METRICS)
-        run_campaign(config, pipeline=pipeline, telemetry=tel)
+        run_campaign(config, telemetry=tel)
         totals = tel.registry.counter_totals()
         if trace_path:
             write_chrome_trace(trace_path, tel.tracer, tel.registry)
@@ -291,7 +242,6 @@ def measure_campaign(
         phones=config.fleet.phone_count,
         months=round(months, 3),
         seed=config.seed,
-        pipeline=pipeline,
         repeats=repeats,
         stages=stages,
         wall_seconds=wall,
@@ -301,7 +251,7 @@ def measure_campaign(
         all_wall_seconds=all_walls,
         stages_cpu=stages_cpu,
         cpu_seconds=sum(stages_cpu.values()),
-        all_cpu_seconds=all_cpus,
+        all_cpu_seconds=[sum(cpu.values()) for _stages, cpu in runs],
         profile_top=top_rows,
         profile_wall_seconds=profiled_wall,
         counter_totals=totals,
@@ -312,7 +262,6 @@ def measure_campaign(
 def measure_live_overhead(
     config: Optional[CampaignConfig] = None,
     repeats: int = 3,
-    pipeline: str = PIPELINE_STRUCTURED,
 ) -> Dict[str, Any]:
     """A/B the live op-log flush hook: heartbeats on vs off.
 
@@ -343,7 +292,7 @@ def measure_live_overhead(
 
     def _run_off() -> None:
         t0, c0 = time.perf_counter(), time.process_time()
-        run_campaign(config, pipeline=pipeline)
+        run_campaign(config)
         off_wall.append(time.perf_counter() - t0)
         off_cpu.append(time.process_time() - c0)
 
@@ -353,7 +302,7 @@ def measure_live_overhead(
         previous = install_live_writer(writer)
         try:
             t0, c0 = time.perf_counter(), time.process_time()
-            run_campaign(config, pipeline=pipeline)
+            run_campaign(config)
             on_wall.append(time.perf_counter() - t0)
             on_cpu.append(time.process_time() - c0)
         finally:
@@ -365,7 +314,7 @@ def measure_live_overhead(
         # Untimed warmup: the first run pays import, allocator, and
         # branch-predictor warming that would otherwise bias whichever
         # arm happens to go first.
-        run_campaign(config, pipeline=pipeline)
+        run_campaign(config)
         for i in range(repeats):
             first, second = (_run_off, _run_on) if i % 2 == 0 else (
                 _run_on,
@@ -391,7 +340,6 @@ def measure_live_overhead(
             "phones": config.fleet.phone_count,
             "months": round(config.fleet.duration / MONTH, 3),
             "seed": config.seed,
-            "pipeline": pipeline,
             "repeats": repeats,
         },
         "wall_seconds_off": round(best_off_wall, 4),

@@ -22,16 +22,17 @@ one logical campaign into deterministic per-phone-range shards:
   monolithic run of the same config produces, for *any* tiling of the
   fleet (the streaming accumulators replay the batch pipeline's
   aggregation orders exactly); :func:`merge_shard_files` is the
-  spill-to-disk variant that folds committed shard files one at a time
+  streaming variant that folds committed shard files one at a time
   from disk, keeping the parent's peak memory flat in shard count;
 * :func:`run_sharded_campaign` wires it all through one path: shards
   run on the work-stealing queue (:mod:`repro.experiments.executors`;
   in-process when ``workers == 1``), every shard is durably committed
-  to a directory *before* it is acknowledged, and the merge folds the
-  committed files.  That is what makes a mega-fleet run resumable:
-  after ``kill -9`` mid-run, a restart replans around the committed
-  ranges (:func:`scan_committed_shards`), recomputes only the gaps,
-  and produces a bit-identical summary.
+  to the cache directory (a private temp dir without one) *before* it
+  is acknowledged, and the merge folds the committed files.  That is
+  what makes a mega-fleet run resumable: after ``kill -9`` mid-run, a
+  restart replans around the committed ranges
+  (:func:`scan_committed_shards`), recomputes only the gaps, and
+  produces a bit-identical summary.
 
 Simulation-side telemetry counters are the one deliberate exception to
 bit-identity: K shard simulators schedule K times as many periodic
@@ -60,11 +61,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.ingest import (
-    PIPELINE_STRUCTURED,
-    Dataset,
-    IngestReport,
-)
+from repro.analysis.ingest import Dataset, IngestReport
 from repro.analysis.streaming import CampaignAccumulator
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import _sample_ingest_metrics
@@ -350,12 +347,10 @@ class ShardTask:
 
     def __init__(
         self,
-        pipeline: str = PIPELINE_STRUCTURED,
         telemetry_level: Optional[str] = None,
         plan: Optional[object] = None,
         live_dir: Optional[str] = None,
     ) -> None:
-        self.pipeline = pipeline
         self.telemetry_level = telemetry_level
         #: Optional :class:`~repro.robustness.plan.FaultPlan` injected
         #: into the shard's collection path.  Injection streams are
@@ -434,9 +429,7 @@ class ShardTask:
                     fleet.run()
                 with tel.span("ingest", category="stage"):
                     dataset = Dataset.from_collector(
-                        fleet.collector,
-                        end_time=config.fleet.duration,
-                        pipeline=self.pipeline,
+                        fleet.collector, end_time=config.fleet.duration
                     )
                 with tel.span("reduce", category="stage"):
                     accumulator = CampaignAccumulator.from_dataset(
@@ -700,7 +693,7 @@ def merge_shards(
 def merge_shard_files(
     shard_files: Sequence[CommittedShard], config: CampaignConfig
 ) -> MergedCampaign:
-    """Streaming (spill-to-disk) merge: fold shard files one at a time.
+    """Streaming merge: fold committed shard files one at a time.
 
     Each committed file is read from disk only when the cursor reaches
     its range and dropped as soon as it is folded in, so parent peak
@@ -786,14 +779,12 @@ def run_sharded_campaign(
     config: CampaignConfig,
     shards: int,
     workers: int = 1,
-    pipeline: str = PIPELINE_STRUCTURED,
     cache: Optional[CampaignCache] = None,
     plan: Optional[object] = None,
     telemetry_level: Optional[str] = None,
     retries: int = 0,
     timeout: Optional[float] = None,
     executor: Union[str, Executor, None] = None,
-    spill_dir: Optional[str] = None,
     weights: Optional[Sequence[float]] = None,
     live: bool = False,
     progress: Optional[Callable[[object], None]] = None,
@@ -804,11 +795,10 @@ def run_sharded_campaign(
     in-process otherwise (``executor="workqueue"`` keeps worker
     processes even at one worker; an :class:`Executor` instance is used
     as given).  Either way every completed shard is durably committed
-    *before* it is acknowledged — to the cache directory, else
-    ``spill_dir``, else a private temp dir removed after the merge — so
-    ``kill -9`` mid-run loses only in-flight shards, and the merge
-    folds the committed files one at a time, keeping parent peak RSS
-    flat in shard count.  The merged summary is bit-identical to the
+    *before* it is acknowledged — to the cache directory, else a
+    private temp dir removed after the merge — so ``kill -9`` mid-run
+    loses only in-flight shards, and the merge folds the committed
+    files one at a time, keeping parent peak RSS flat in shard count.  The merged summary is bit-identical to the
     monolithic run (telemetry counters aside; see module docs).
 
     With a ``cache``, any run first scans for shards already committed
@@ -817,10 +807,10 @@ def run_sharded_campaign(
     after a crash converges on the same bit-identical summary as an
     uninterrupted run.
 
-    ``live=True`` turns on the live telemetry plane and needs a durable
-    run directory (a cache or ``spill_dir``): workers heartbeat into an
-    op-log under ``<run-dir>/live/``, the coordinator folds it into
-    rolling KPIs (invoking ``progress`` with each
+    ``live=True`` turns on the live telemetry plane and needs a
+    ``cache``, whose directory is the durable run directory: workers
+    heartbeat into an op-log under ``<run-dir>/live/``, the coordinator
+    folds it into rolling KPIs (invoking ``progress`` with each
     :class:`~repro.observability.live.LiveSnapshot` and writing a
     ``metrics.prom`` exposition snapshot), and ``repro monitor`` can
     watch the run — or its corpse — from another terminal.  Live mode
@@ -837,12 +827,9 @@ def run_sharded_campaign(
         backend = get_executor(executor, workers)
     # Tallies are per run (see the runner): mirrored once, at the end.
     backend.stats = ExecutorStats(backend=backend.name)
-    run_dir = cache.directory if cache is not None else spill_dir
-    if live and run_dir is None:
-        raise ValueError(
-            "live mode needs a durable run directory: pass a cache "
-            "(or spill_dir)"
-        )
+    if live and cache is None:
+        raise ValueError("live mode needs a durable run directory: pass a cache")
+    run_dir = cache.directory if cache is not None else None
 
     task_configs = plan_shards(config, shards, weights=weights)
     committed: List[CommittedShard] = []
@@ -867,7 +854,6 @@ def run_sharded_campaign(
         live_dir = live_dir_for(run_dir)
         _announce_campaign(live_dir, config, shards, workers, backend.name)
     task = ShardTask(
-        pipeline=pipeline,
         telemetry_level=telemetry_level,
         plan=plan,
         live_dir=live_dir,

@@ -263,7 +263,7 @@ class CollectionServer:
         return [serialize_entry(entry) for entry in self._entries.get(phone_id, ())]
 
     def dataset(self) -> Dict[str, List[str]]:
-        """phone_id -> collected lines; the text-pipeline input."""
+        """phone_id -> collected lines; the :meth:`Dataset.from_lines` input."""
         return {
             phone_id: [serialize_entry(entry) for entry in entries]
             for phone_id, entries in self._entries.items()
@@ -272,10 +272,10 @@ class CollectionServer:
     def record_dataset(
         self, on_error: Optional[Callable[[str, str, Exception], None]] = None
     ) -> Dict[str, List[object]]:
-        """phone_id -> collected records; the structured-pipeline input.
+        """phone_id -> collected records; the :meth:`Dataset.from_collector` input.
 
         Raw (corrupted) entries go through the tolerant parser, exactly
-        as the text pipeline would treat them after a disk round trip.
+        as the text door would treat them after a disk round trip.
         ``on_error`` (phone_id, line, error) observes every quarantined
         line instead of letting it vanish silently.
         """

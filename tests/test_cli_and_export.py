@@ -304,3 +304,65 @@ class TestExtendedReport:
         out = capsys.readouterr().out
         assert code == 0
         assert "Downtime (extension)" in out
+
+
+SMALL = ["--phones", "2", "--months", "0.1"]
+
+#: Bad flag values and paths: each must be a clean usage error.
+#: ``{missing}`` is a path that does not exist, ``{logs}`` a directory
+#: holding one parseable log, ``{run}`` a run directory ``monitor`` can
+#: render.
+BAD_INPUTS = {
+    "analyze-missing-dir": ["analyze", "{missing}"],
+    "analyze-window-0": ["analyze", "{logs}", "--window", "0"],
+    "analyze-window-negative": ["analyze", "{logs}", "--window", "-5"],
+    "campaign-phones-0": ["campaign", "--phones", "0"],
+    "campaign-months-nan": ["campaign", "--months", "nan"],
+    "sweep-window-0": ["sweep", *SMALL, "--seeds", "1", "--window", "0"],
+    "sweep-workers-0": ["sweep", *SMALL, "--seeds", "1", "--workers", "0"],
+    "perf-repeats-0": ["perf", *SMALL, "--no-counters", "--repeats", "0"],
+    "trace-phones-negative": ["trace", "{missing}", "--phones", "-1"],
+    "megafleet-window-0": ["megafleet", *SMALL, "--window", "0"],
+    "megafleet-shards-0": ["megafleet", *SMALL, "--shards", "0"],
+    "megafleet-skew-0": ["megafleet", *SMALL, "--skew", "0"],
+    "megafleet-live-without-cache": ["megafleet", *SMALL, "--live"],
+    "monitor-window-negative": [
+        "monitor", "{run}", "--once", "--no-prom", "--window", "-5",
+    ],
+    "monitor-interval-0": [
+        "monitor", "{run}", "--once", "--no-prom", "--interval", "0",
+    ],
+}
+
+
+def _monitorable_run_dir(path) -> str:
+    from repro.observability.live import OpLogWriter, live_dir_for
+
+    writer = OpLogWriter(live_dir_for(str(path)), role="campaign")
+    try:
+        writer.campaign(
+            phones=2, shards=1, workers=1, seed=1, executor="serial",
+            duration=1.0, config={},
+        )
+    finally:
+        writer.close()
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_nonzero_without_traceback(case, tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
+    paths = {
+        "missing": str(tmp_path / "missing"),
+        "logs": str(logs),
+        "run": _monitorable_run_dir(tmp_path / "run"),
+    }
+    argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code not in (0, None)
+    assert "Traceback" not in capsys.readouterr().err

@@ -11,9 +11,10 @@ import json
 
 import pytest
 
+from repro.analysis.ingest import Dataset
 from repro.core.clock import MONTH
 from repro.experiments.cache import CampaignCache
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import _sample_ingest_metrics, run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import (
     TelemetryTask,
@@ -36,7 +37,7 @@ from repro.observability.telemetry import (
     current_telemetry,
 )
 from repro.observability.tracer import SpanTracer
-from repro.phone.fleet import FleetConfig
+from repro.phone.fleet import Fleet, FleetConfig
 
 SEEDS = [31, 32, 33, 34]
 
@@ -213,9 +214,9 @@ class TestTelemetry:
 
 
 class TestCampaignTelemetryDeterminism:
-    def _snapshot(self, seed: int, pipeline: str = "structured"):
+    def _snapshot(self, seed: int):
         tel = Telemetry(TELEMETRY_TRACE)
-        run_campaign(tiny_config(seed), pipeline=pipeline, telemetry=tel)
+        run_campaign(tiny_config(seed), telemetry=tel)
         return tel.registry.deterministic_dict(), tel.tracer.sim_forest()
 
     def test_same_seed_same_counters_and_span_tree(self):
@@ -226,10 +227,31 @@ class TestCampaignTelemetryDeterminism:
         assert metrics_a["sim.events_fired_total"]["series"][0]["value"] > 0
 
     def test_counters_identical_across_pipeline_doors(self):
-        metrics_s, forest_s = self._snapshot(SEEDS[1], pipeline="structured")
-        metrics_t, forest_t = self._snapshot(SEEDS[1], pipeline="text")
-        assert metrics_s == metrics_t
-        assert forest_s == forest_t
+        """The ingest counters' inputs agree between the collector door
+        and the text door over the same collected logs."""
+        config = tiny_config(SEEDS[1])
+        fleet = Fleet(config.fleet, seed=config.seed)
+        fleet.run()
+        end = config.fleet.duration
+        doors = (
+            Dataset.from_collector(fleet.collector, end_time=end),
+            Dataset.from_lines(fleet.collector.dataset(), end_time=end),
+        )
+        counts = [
+            {phone: log.record_count for phone, log in door.logs.items()}
+            for door in doors
+        ]
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) > 0
+        assert doors[0].ingest_report.to_dict() == (
+            doors[1].ingest_report.to_dict()
+        )
+        sampled = []
+        for door in doors:
+            registry = MetricsRegistry()
+            _sample_ingest_metrics(registry, door)
+            sampled.append(registry.deterministic_dict())
+        assert sampled[0] == sampled[1]
 
     def test_off_level_records_nothing(self):
         result = run_campaign(tiny_config(SEEDS[0]))

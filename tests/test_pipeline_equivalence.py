@@ -1,17 +1,16 @@
-"""Structured vs text pipeline equivalence — the fast-path contract.
+"""Structured vs text ingest equivalence — the fast-path contract.
 
-The collection pipeline has two doors into the analysis: the
-``structured`` fast path hands collected record objects straight to
-:meth:`Dataset.from_records`, while the ``text`` path serializes every
-entry and reparses it (the original on-disk contract).  These tests pin
-the invariant that makes the fast path legal:
+There are two doors into the analysis: campaigns ingest through
+:meth:`Dataset.from_collector`, which hands collected record objects
+straight to :meth:`Dataset.from_records`, while :meth:`Dataset.from_lines`
+parses serialized log lines (the on-disk contract that ``repro analyze``
+reads).  These tests pin the invariant that makes the fast path legal:
 
 * line level — for every phone, parsing the serialized log lines yields
   records equal to the structured entries (writers quantize timestamps
   to wire precision at construction, so the round trip is lossless);
-* report level — a campaign analysed through either door produces a
-  byte-identical summary, with simulation (events fired, ground truth)
-  unaffected by the choice;
+* report level — one collector ingested through either door produces a
+  byte-identical report;
 * the RUNAPPS dedupe knob drops redundant snapshots without changing
   any analysis result (Table 4 included).
 """
@@ -22,8 +21,8 @@ import json
 
 import pytest
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINE_TEXT
-from repro.core.errors import AnalysisError
+from repro.analysis.ingest import Dataset
+from repro.analysis.report import build_report
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.summary import CampaignSummary
@@ -53,7 +52,7 @@ class TestLineLevelEquivalence:
         total = 0
         for phone_id, phone_lines in lines.items():
             # Lenient parsing, as ingest does it: freeze-truncated tail
-            # lines are dropped by both pipelines.
+            # lines are dropped by both doors.
             reparsed = list(parse_lines(phone_lines))
             assert reparsed == records[phone_id], phone_id
             total += len(reparsed)
@@ -63,20 +62,24 @@ class TestLineLevelEquivalence:
 class TestReportLevelEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_summary_is_byte_identical_across_pipelines(self, seed):
-        structured = run_campaign(
-            CampaignConfig.quick(seed), pipeline=PIPELINE_STRUCTURED
-        )
-        text = run_campaign(CampaignConfig.quick(seed), pipeline=PIPELINE_TEXT)
+        config = CampaignConfig.quick(seed)
+        fleet = Fleet(config.fleet, seed=config.seed)
+        fleet.run()
+        end = config.fleet.duration
+        structured = Dataset.from_collector(fleet.collector, end_time=end)
+        text = Dataset.from_lines(fleet.collector.dataset(), end_time=end)
 
-        # The simulation half is untouched by the ingest choice.
-        assert (
-            structured.fleet.sim.events_fired == text.fleet.sim.events_fired
-        )
-        assert structured.ground_truth == text.ground_truth
-
-        # The analysis half agrees to the byte.
-        assert _summary_without_config(structured) == _summary_without_config(
-            text
+        reports = [
+            json.dumps(
+                build_report(dataset, window=config.coalescence_window)
+                .to_dict(),
+                sort_keys=True,
+            )
+            for dataset in (structured, text)
+        ]
+        assert reports[0] == reports[1]
+        assert structured.ingest_report.to_dict() == (
+            text.ingest_report.to_dict()
         )
 
     def test_same_seed_same_pipeline_is_deterministic(self):
@@ -86,10 +89,6 @@ class TestReportLevelEquivalence:
         assert _summary_without_config(first) == _summary_without_config(
             second
         )
-
-    def test_unknown_pipeline_is_rejected(self):
-        with pytest.raises(AnalysisError):
-            run_campaign(CampaignConfig.quick(7), pipeline="carrier-pigeon")
 
 
 class TestZeroFaultEquivalence:

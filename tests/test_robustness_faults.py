@@ -20,11 +20,15 @@ from repro.analysis.ingest import (
     IngestReport,
     classify_malformed,
 )
+from repro.analysis.report import build_report
 from repro.core.errors import ConfigError
 from repro.experiments.config import CampaignConfig
 from repro.experiments.summary import HEADLINE_KEYS, headline_figures
+from repro.logger.transfer import CollectionServer
+from repro.phone.fleet import Fleet
 from repro.robustness import (
     FaultPlan,
+    FaultyLink,
     run_degradation_experiment,
     run_faulty_campaign,
 )
@@ -123,16 +127,26 @@ class TestPipelineDoorParity:
     @pytest.mark.parametrize("intensity", [0.5, 1.0])
     def test_structured_and_text_doors_agree_under_faults(self, intensity):
         config = CampaignConfig.tiny(seed=7)
-        plan = FaultPlan.mild().scaled(intensity)
-        structured = run_faulty_campaign(config, plan=plan)
-        text = run_faulty_campaign(config, plan=plan, pipeline="text")
-        s_dict = structured.summary.to_dict()
-        t_dict = text.summary.to_dict()
-        s_dict.pop("config"), t_dict.pop("config")
-        assert json.dumps(s_dict, sort_keys=True) == json.dumps(
-            t_dict, sort_keys=True
+        link = FaultyLink(FaultPlan.mild().scaled(intensity))
+        collector = CollectionServer(link=link)
+        Fleet(config.fleet, seed=config.seed, collector=collector).run()
+        end = config.fleet.duration
+        structured = Dataset.from_collector(collector, end_time=end)
+        text = Dataset.from_lines(collector.dataset(), end_time=end)
+        reports = [
+            json.dumps(
+                build_report(dataset, window=config.coalescence_window)
+                .to_dict(),
+                sort_keys=True,
+            )
+            for dataset in (structured, text)
+        ]
+        assert reports[0] == reports[1]
+        # The faults reached ingest, and both doors quarantined alike.
+        assert structured.ingest_report.quarantined > 0
+        assert structured.ingest_report.to_dict() == (
+            text.ingest_report.to_dict()
         )
-        assert structured.ingest == text.ingest
 
 
 class TestIngestQuarantine:

@@ -4,9 +4,8 @@ The whole point of :mod:`repro.experiments.shard` is that splitting one
 campaign into K per-phone-range shards changes *nothing* about the
 result — not one bit of the :class:`CampaignSummary`.  These tests pin
 that contract against a monolithic baseline for K ∈ {1, 3, 7, 25},
-through both ingest pipelines, on work-stealing worker processes,
-through the shard cache, and with collection-path fault injection
-enabled.
+on work-stealing worker processes, through the shard cache, and with
+collection-path fault injection enabled.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import time
 
 import pytest
 
-from repro.analysis.ingest import PIPELINE_TEXT
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
@@ -83,14 +81,6 @@ def test_sharded_summary_is_bit_identical(shards, config, monolithic):
     assert starts == sorted(starts)
 
 
-def test_text_pipeline_shards_match_monolithic(config, monolithic):
-    """The serialize→reparse door shards identically to the fast path."""
-    result = run_sharded_campaign(config, shards=3, pipeline=PIPELINE_TEXT)
-    assert canonical(result.summary.to_dict()) == canonical(
-        monolithic.to_dict()
-    )
-
-
 def test_process_pool_shards_match_monolithic(config, monolithic):
     result = run_sharded_campaign(config, shards=4, workers=2)
     assert canonical(result.summary.to_dict()) == canonical(
@@ -100,19 +90,16 @@ def test_process_pool_shards_match_monolithic(config, monolithic):
 
 def test_faulty_campaign_shards_match_monolithic(config):
     """Fault injection is per-phone-seeded, so it shards bit-for-bit:
-    same summary, same quarantine accounting, in both pipelines."""
+    same summary, same quarantine accounting."""
     plan = FaultPlan.mild(seed=777)
-    for pipeline in ("structured", PIPELINE_TEXT):
-        outcome = run_faulty_campaign(config, plan, pipeline=pipeline)
-        result = run_sharded_campaign(
-            config, shards=5, plan=plan, pipeline=pipeline
-        )
-        assert canonical(result.summary.to_dict()) == canonical(
-            outcome.summary.to_dict()
-        )
-        assert result.ingest.quarantined == outcome.ingest["quarantined"]
-        assert result.ingest.to_dict()["by_class"] == outcome.ingest["by_class"]
-        assert result.ingest.to_dict()["by_phone"] == outcome.ingest["by_phone"]
+    outcome = run_faulty_campaign(config, plan)
+    result = run_sharded_campaign(config, shards=5, plan=plan)
+    assert canonical(result.summary.to_dict()) == canonical(
+        outcome.summary.to_dict()
+    )
+    assert result.ingest.quarantined == outcome.ingest["quarantined"]
+    assert result.ingest.to_dict()["by_class"] == outcome.ingest["by_class"]
+    assert result.ingest.to_dict()["by_phone"] == outcome.ingest["by_phone"]
 
 
 def test_shard_cache_round_trip(tmp_path, config, monolithic):
@@ -283,7 +270,7 @@ def test_merge_rejects_duplicated_phone_range(config):
 
 
 def test_workqueue_streaming_matches_monolithic(config, monolithic):
-    """The work-stealing backend with spill-to-disk merge is the exact
+    """The work-stealing backend with the streaming file merge is the exact
     same campaign: it emits the monolithic summary bit for bit."""
     streamed = run_sharded_campaign(
         config, shards=3, workers=2, executor="workqueue"
@@ -296,7 +283,7 @@ def test_workqueue_streaming_matches_monolithic(config, monolithic):
 
 
 def test_cacheless_run_leaves_no_temp_dir(tmp_path, monkeypatch, config):
-    """Without a cache or spill dir, shards commit to a private temp
+    """Without a cache, shards commit to a private temp
     dir that is gone once the merge has read it."""
     import tempfile
 
