@@ -7,8 +7,9 @@
   runner, plus :func:`run_campaigns_resilient` and its
   :class:`SweepManifest` of partial results and structured failures.
 * :mod:`cache`    — the on-disk summary cache for repeated sweeps.
-* :mod:`executors` — execution backends (serial, work-stealing work
-  queue) behind one :class:`Executor` face.
+* :mod:`executors` — the one dispatch path sweeps and shards share:
+  :meth:`Executor.run` in-process or on the work-stealing queue, every
+  result committed before it is acknowledged.
 * :mod:`shard`    — sharded mega-fleet campaigns with work stealing,
   durable commits (kill-9 resumable), and a streaming merge from disk.
 * :mod:`paper`    — the paper's published numbers, as data.

@@ -1,12 +1,21 @@
 """Campaign executors: the work-stealing queue and the serial loop.
 
-The runner and the sharded mega-fleet path run their tasks through an
-:class:`Executor`, so a multi-host backend can later drop in behind the
-same seam without touching campaign logic.  Two backends exist:
+Every campaign task — a seed of a multi-seed sweep or a phone range of
+a sharded campaign — runs through one :meth:`Executor.run` call, under
+one discipline: the task's result is committed to a
+:class:`~repro.experiments.cache.CampaignCache` directory (atomic temp
+file + rename, no ``fsync``) *before* the task is acknowledged, and the
+executor alone owns retries, the watchdog, attempt numbering and the
+failure record.  A commit survives a process crash, not power loss;
+it is what makes sweeps and mega-fleet runs resumable after ``kill -9``
+of the whole process tree, and since only a tiny acknowledgement ever
+crosses a pipe, the parent's memory stays flat in task count.  Two
+backends exist:
 
 * :class:`SerialExecutor` (``"serial"``) — everything runs in-process,
-  in index order.  ``workers == 1`` always resolves to it, and it is
-  the graceful-degradation target the queue falls back to when worker
+  in submission order, each failed task retried in place.
+  ``workers == 1`` always resolves to it, and it is the
+  graceful-degradation target the queue falls back to when worker
   processes cannot start (sandboxes, restricted interpreters).
 * :class:`WorkQueueExecutor` (``"workqueue"``) — N long-lived worker
   processes pulling tasks from a coordinator-managed queue; the only
@@ -22,14 +31,14 @@ same seam without touching campaign logic.  Two backends exist:
   pipe of its own, so a worker killed mid-write can only break its own
   channel, never the coordinator's view of the others (a queue shared
   by all workers has a write lock that a killed writer never
-  releases).  With a ``commit_dir``, workers
-  commit each result to a
-  :class:`~repro.experiments.cache.CampaignCache` (atomic temp file +
-  rename, no ``fsync``) *before* acknowledging it — the property that
-  makes mega-fleet runs resumable after ``kill -9`` of the whole
-  process tree; a commit survives a process crash, not power loss —
-  and only a tiny acknowledgement crosses the pipe, keeping
-  the parent's memory flat in shard count.
+  releases).
+
+Attempts are numbered from 0; a task that declares ``accepts_attempt``
+is called as ``task(config, attempt=n)``, any other as ``task(config)``.
+A failed attempt is retried with the next number while ``retries``
+last.  A worker that dies or hangs under its task gets that same
+attempt re-run once more even when the retries are spent, so a single
+``kill -9`` never fails a run.
 
 Counters: every steal, task retry, worker restart, failed worker
 respawn, watchdog fire, and serial fallback is tallied in an
@@ -46,16 +55,7 @@ from __future__ import annotations
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.config import CampaignConfig
@@ -72,13 +72,13 @@ EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_WORKQUEUE)
 DEFAULT_MIN_SPLIT_PHONES = 32
 
 #: Dispatch-time split target: chunks aim for
-#: ``remaining / (workers * oversubscribe)`` phones, so the tail of the
+#: ``remaining / (workers * OVERSUBSCRIBE)`` phones, so the tail of the
 #: run always has a few chunks per worker to balance over.
-DEFAULT_OVERSUBSCRIBE = 4
+OVERSUBSCRIBE = 4
 
 #: Coordinator poll interval (seconds) while waiting for worker acks;
 #: bounds how quickly dead workers and watchdog deadlines are noticed.
-DEFAULT_POLL_INTERVAL = 0.05
+POLL_INTERVAL = 0.05
 
 
 class CampaignExecutionError(RuntimeError):
@@ -188,37 +188,42 @@ class ExecutorStats:
 
 @dataclass
 class ExecutorOutcome:
-    """What one executor run produced, keyed by task id."""
+    """What one executor run committed or gave up on, keyed by task id."""
 
-    completed: "Dict[Any, Tuple[CampaignConfig, Any]]" = field(
-        default_factory=dict
-    )
+    #: Task id -> config whose result is committed in the commit dir.
+    completed: "Dict[Any, CampaignConfig]" = field(default_factory=dict)
     #: Task id -> (config, last failure, attempts made).
     failed: "Dict[Any, Tuple[CampaignConfig, FailureInfo, int]]" = field(
         default_factory=dict
     )
     #: Task id -> wall seconds of each attempt, in attempt order.
     walls: "Dict[Any, List[float]]" = field(default_factory=dict)
-    #: Task ids the backend did not run, left for the runner's serial loop.
-    serial: List[Any] = field(default_factory=list)
 
 
-#: A sharded task: (phone range, shard config).
+#: A task: (task id, config) — a config index for sweeps, the phone
+#: range for shards.
+TaskItem = Tuple[Any, CampaignConfig]
+
+#: Sharded tasks are keyed by their phone range.
 ShardItem = Tuple[Tuple[int, int], CampaignConfig]
 
 
+def _attempt(task: Callable[..., Any], config: CampaignConfig, attempt: int) -> Any:
+    if getattr(task, "accepts_attempt", False):
+        return task(config, attempt=attempt)
+    return task(config)
+
+
 class Executor:
-    """One way of running many campaign tasks.
+    """One way of running many campaign tasks to durable completion.
 
-    :meth:`execute` is the index-preserving map the multi-seed runner
-    drives: run the ``pending`` indices of ``configs`` and return an
-    :class:`ExecutorOutcome`; indices in ``outcome.serial`` still need
-    an in-process attempt.  Backends never raise for per-task failures
-    — those land in ``outcome.failed`` so the runner's retry and
-    manifest machinery stays backend-agnostic.
-
-    :meth:`execute_shards` runs sharded tasks to durable completion in
-    a commit directory.  The base implementations are the serial ones.
+    :meth:`run` is the one dispatch path: it runs every task, commits
+    each result in ``commit_dir`` before acknowledging it, and returns
+    an :class:`ExecutorOutcome`.  Per-task failures never raise — they
+    land in ``outcome.failed`` with their attempt count and walls.
+    :meth:`execute_shards` is :meth:`run` for a sharded campaign: it
+    returns the committed tiling or raises its first failure.  The base
+    implementation is the serial one.
     """
 
     name: str = EXECUTOR_SERIAL
@@ -229,18 +234,61 @@ class Executor:
         self.workers = workers
         self.stats = ExecutorStats(backend=self.name)
 
-    def execute(
+    def run(
         self,
-        configs: Sequence[CampaignConfig],
-        pending: Sequence[int],
+        items: Sequence[TaskItem],
         task: Callable[..., Any],
-        timeout: Optional[float],
+        commit_dir: str,
         tel: Telemetry,
-        on_done: Callable[[int, Any], None],
+        retries: int = 0,
+        timeout: Optional[float] = None,
+        splitter: Optional[
+            Callable[[CampaignConfig], Optional[Tuple[CampaignConfig, CampaignConfig]]]
+        ] = None,
+        size_fn: Optional[Callable[[CampaignConfig], int]] = None,
+        live_dir: Optional[str] = None,
+        progress: Optional[Callable[[Any], None]] = None,
+        on_done: Optional[Callable[[Any, CampaignConfig], None]] = None,
     ) -> ExecutorOutcome:
-        """Run ``pending``; ``on_done(index, result)`` fires as each lands,
-        so the runner commits a result before the run is over."""
-        return ExecutorOutcome(serial=list(pending))
+        """Run ``items`` to durable completion in ``commit_dir``.
+
+        ``on_done(task_id, config)`` fires as each result is committed.
+        ``timeout`` arms the queue's watchdog and ``splitter``/``size_fn``
+        its work stealing; the in-process loop cannot preempt or split
+        a task, so it ignores them.  With ``live_dir`` set, the loop
+        heartbeats executor state into the op-log and periodically
+        folds the whole log into a rolling
+        :class:`~repro.observability.live.LiveSnapshot` (writing
+        ``metrics.prom`` and invoking ``progress``).
+        """
+        cache = CampaignCache(commit_dir)
+        outcome = ExecutorOutcome()
+        live = _live_coordinator(live_dir, self.stats, progress)
+        for key, config in items:
+            if live is not None:
+                live.tick(pending=len(items), inflight=1, workers=1)
+            walls = outcome.walls.setdefault(key, [])
+            for attempt in range(retries + 1):
+                if attempt:
+                    self.stats.task_retries += 1
+                start = perf_counter()
+                try:
+                    cache.put(config, _attempt(task, config, attempt))
+                except Exception as exc:
+                    walls.append(perf_counter() - start)
+                    failure = format_failure(exc)
+                    continue
+                walls.append(perf_counter() - start)
+                outcome.completed[key] = config
+                if on_done is not None:
+                    on_done(key, config)
+                break
+            else:
+                outcome.failed[key] = (config, failure, retries + 1)
+        if live is not None:
+            live.tick(force=True)
+            live.close()
+        return outcome
 
     def execute_shards(
         self,
@@ -260,62 +308,41 @@ class Executor:
         """Run shard tasks to durable completion; returns the tiling.
 
         Every returned ``(phone_range, config)`` pair has its result
-        committed in ``commit_dir`` (commit-before-acknowledge).  The
-        returned ranges may be *finer* than the submitted ones when
-        stealing split a long-tailed shard.  Raises
-        :class:`CampaignExecutionError` (with the offending
-        ``phone_range``) when a task exhausts its attempts.
-
-        With ``live_dir`` set, the coordinator heartbeats executor
-        state into the op-log and periodically folds the whole log
-        into a rolling :class:`~repro.observability.live.LiveSnapshot`
-        (writing ``metrics.prom`` and invoking ``progress``).
+        committed in ``commit_dir``.  The returned ranges may be *finer*
+        than the submitted ones when stealing split a long-tailed
+        shard.  Raises :class:`CampaignExecutionError` (with the
+        offending ``phone_range``) when a task exhausts its attempts.
         """
-        return _shard_tiling(
-            self._run_serial(list(items), task, commit_dir, retries, live_dir, progress)
+        outcome = self.run(
+            items,
+            task,
+            commit_dir,
+            tel,
+            retries=retries,
+            timeout=timeout,
+            splitter=splitter,
+            size_fn=size_fn,
+            live_dir=live_dir,
+            progress=progress,
         )
-
-    def _run_serial(
-        self,
-        items: List[ShardItem],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: str,
-        retries: int,
-        live_dir: Optional[str],
-        progress: Optional[Callable[[Any], None]],
-    ) -> ExecutorOutcome:
-        """In-process shard loop with the queue's commit semantics."""
-        cache = CampaignCache(commit_dir)
-        outcome = ExecutorOutcome()
-        live = _live_coordinator(live_dir, self.stats, progress)
-        for key, config in items:
-            if live is not None:
-                live.tick(pending=len(items), inflight=1, workers=1)
-            walls = outcome.walls.setdefault(key, [])
-            attempts = 0
-            while True:
-                attempts += 1
-                start = perf_counter()
-                try:
-                    cache.put(config, task(config))
-                except Exception as exc:
-                    walls.append(perf_counter() - start)
-                    if attempts <= retries:
-                        self.stats.task_retries += 1
-                        continue
-                    outcome.failed[key] = (config, format_failure(exc), attempts)
-                else:
-                    walls.append(perf_counter() - start)
-                    outcome.completed[key] = (config, None)
-                break
-        if live is not None:
-            live.tick(force=True)
-            live.close()
-        return outcome
+        if outcome.failed:
+            config, (kind, message, text), attempts = outcome.failed[
+                min(outcome.failed)
+            ]
+            # A sharded run is one campaign, so it is campaign #0.
+            raise CampaignExecutionError(
+                0,
+                config.seed,
+                f"{kind}: {message}",
+                traceback=text,
+                attempts=attempts,
+                phone_range=config.fleet.phone_range,
+            )
+        return sorted(outcome.completed.items())
 
 
 class SerialExecutor(Executor):
-    """No fan-out: the runner's serial loop, and in-process shards."""
+    """No fan-out: every task runs in-process, in submission order."""
 
 
 def _live_coordinator(live_dir, stats, progress):
@@ -326,51 +353,33 @@ def _live_coordinator(live_dir, stats, progress):
     return LiveCoordinator(live_dir, stats=stats, progress=progress)
 
 
-def _shard_tiling(outcome: ExecutorOutcome) -> List[ShardItem]:
-    """The committed tiling in range order, or the first failure raised."""
-    if outcome.failed:
-        config, info, attempts = outcome.failed[min(outcome.failed)]
-        raise CampaignExecutionError(
-            index=-1,
-            seed=config.seed,
-            cause=f"{info[0]}: {info[1]}",
-            traceback=info[2],
-            attempts=attempts,
-            phone_range=config.fleet.phone_range,
-        )
-    return [(key, outcome.completed[key][0]) for key in sorted(outcome.completed)]
-
-
 # -- work-queue backend ---------------------------------------------------------
 
 
 def _worker_main(wid, task, commit_dir, inbox, outbox):
-    """Worker loop: pull a task, run it, (commit), acknowledge.
+    """Worker loop: pull a task, run it, commit, acknowledge.
 
     ``outbox`` is the write end of this worker's own pipe; ``send`` is
     synchronous, so no message is left half-written by a feeder thread
-    when the task kills the process.  With ``commit_dir`` the result is
-    durably written to the cache *before* the acknowledgement is sent —
-    the coordinator never learns of a shard that is not already safe on
+    when the task kills the process.  The result is durably written to
+    the commit directory *before* the acknowledgement is sent — the
+    coordinator never learns of a result that is not already safe on
     disk — and never crosses the pipe.  Module-level so it pickles
     under any start method.
     """
-    cache = CampaignCache(commit_dir) if commit_dir is not None else None
+    cache = CampaignCache(commit_dir)
     outbox.send(("ready", wid, None, None))
     while True:
         message = inbox.get()
         if message[0] == "stop":
             return
-        _kind, task_id, config = message
+        _kind, task_id, config, attempt = message
         try:
-            result = task(config)
-            if cache is not None:
-                cache.put(config, result)
-                result = None
+            cache.put(config, _attempt(task, config, attempt))
         except Exception as exc:
             outbox.send(("error", wid, task_id, format_failure(exc)))
         else:
-            outbox.send(("done", wid, task_id, result))
+            outbox.send(("done", wid, task_id, None))
 
 
 class _QueueStartupError(RuntimeError):
@@ -381,6 +390,7 @@ class _QueueStartupError(RuntimeError):
 class _InFlight:
     key: Any
     config: CampaignConfig
+    attempt: int
     started_at: float
 
 
@@ -388,23 +398,25 @@ class WorkQueueExecutor(Executor):
     """Coordinator-scheduled worker processes with work stealing.
 
     The coordinator owns the pending task list and dispatches one task
-    per idle worker; each worker acknowledges over a pipe of its own.
+    per idle worker; each worker commits its result, then acknowledges
+    over a pipe of its own.
 
     * **dynamic balance** — a worker that finishes early immediately
       pulls the next task, so an uneven plan never pins wall time to
       the unluckiest static assignment;
     * **work stealing** — with a ``splitter``, an oversized task is
       halved at dispatch until it fits the current fair share
-      (``remaining / (workers * oversubscribe)``), so one huge phone
+      (``remaining / (workers * OVERSUBSCRIBE)``), so one huge phone
       range ends as several chunks spread over idle workers;
-    * **self-healing** — a worker that dies mid-task is detected by
-      liveness polling, its task requeued and the worker respawned; a
-      task that exceeds ``timeout`` is reclaimed by killing the worker.
+    * **self-healing** — a failed task is re-dispatched to a worker; a
+      worker that dies mid-task is detected by liveness polling, its
+      task requeued and the worker respawned (at most ``2 * workers``
+      times per run); a task that exceeds ``timeout`` is reclaimed by
+      killing the worker.
 
-    With ``commit_dir`` set (sharded mode) workers commit every result
-    before acknowledging, which is what makes ``kill -9`` resume work:
-    anything acknowledged has been renamed into place.  Commits are not
-    fsynced, so they survive a process crash but not power loss.
+    Anything acknowledged has been renamed into place, which is what
+    makes ``kill -9`` resume work.  Commits are not fsynced, so they
+    survive a process crash but not power loss.
     """
 
     name = EXECUTOR_WORKQUEUE
@@ -414,110 +426,73 @@ class WorkQueueExecutor(Executor):
         workers: int = 4,
         steal: bool = True,
         min_split_phones: int = DEFAULT_MIN_SPLIT_PHONES,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        worker_restarts: Optional[int] = None,
     ) -> None:
         super().__init__(workers)
         self.steal = steal
         self.min_split_phones = max(1, min_split_phones)
-        self.oversubscribe = max(1, oversubscribe)
-        self.poll_interval = poll_interval
-        #: Total worker respawns allowed per run (dead or hung workers).
-        self.worker_restarts = (
-            worker_restarts if worker_restarts is not None else 2 * workers
-        )
 
-    def _fall_back(self, tel: Telemetry) -> None:
-        self.stats.serial_fallbacks += 1
-        tel.instant(
-            "serial fallback",
-            category="executor",
-            track="executor",
-            workers=self.workers,
-        )
-
-    # -- runner integration (index-preserving map, no stealing) ---------
-
-    def execute(self, configs, pending, task, timeout, tel, on_done):
-        try:
-            return self._run(
-                [(index, configs[index]) for index in pending],
-                task,
-                commit_dir=None,
-                tel=tel,
-                retries=0,
-                timeout=timeout,
-                on_done=on_done,
-            )
-        except _QueueStartupError:
-            self._fall_back(tel)
-            return ExecutorOutcome(serial=list(pending))
-
-    # -- sharded mode (stealing + durable commit) -----------------------
-
-    def execute_shards(
-        self,
-        items,
-        task,
-        commit_dir,
-        tel,
-        retries=0,
-        timeout=None,
-        splitter=None,
-        size_fn=None,
-        live_dir=None,
-        progress=None,
-    ):
+    def run(self, items, task, commit_dir, tel, retries=0, timeout=None,
+            splitter=None, size_fn=None, live_dir=None, progress=None,
+            on_done=None):
         try:
             with tel.span(
                 "executor.run",
                 category="executor",
                 track="executor",
                 workers=self.workers,
-                shards=len(items),
+                tasks=len(items),
             ):
-                outcome = self._run(
+                return self._coordinate(
                     list(items),
                     task,
-                    commit_dir=commit_dir,
-                    tel=tel,
-                    retries=retries,
-                    timeout=timeout,
-                    splitter=splitter if self.steal else None,
-                    size_fn=size_fn,
-                    live_dir=live_dir,
-                    progress=progress,
+                    commit_dir,
+                    tel,
+                    retries,
+                    timeout,
+                    splitter if self.steal else None,
+                    size_fn,
+                    live_dir,
+                    progress,
+                    on_done,
                 )
         except _QueueStartupError:
-            self._fall_back(tel)
-            outcome = self._run_serial(
-                list(items), task, commit_dir, retries, live_dir, progress
+            self.stats.serial_fallbacks += 1
+            tel.instant(
+                "serial fallback",
+                category="executor",
+                track="executor",
+                workers=self.workers,
             )
-        return _shard_tiling(outcome)
+            return super().run(
+                items, task, commit_dir, tel, retries=retries,
+                live_dir=live_dir, progress=progress, on_done=on_done,
+            )
 
     # -- the coordinator ------------------------------------------------
 
-    def _run(
+    def _coordinate(
         self,
-        items: List[Tuple[Any, CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: Optional[str],
+        items: List[TaskItem],
+        task: Callable[..., Any],
+        commit_dir: str,
         tel: Telemetry,
         retries: int,
         timeout: Optional[float],
-        splitter=None,
-        size_fn=None,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-        on_done: Optional[Callable[[Any, Any], None]] = None,
+        splitter,
+        size_fn,
+        live_dir: Optional[str],
+        progress: Optional[Callable[[Any], None]],
+        on_done: Optional[Callable[[Any, CampaignConfig], None]],
     ) -> ExecutorOutcome:
         import multiprocessing
         from multiprocessing.connection import Pipe, wait
 
         context = multiprocessing.get_context()
         outcome = ExecutorOutcome()
-        pending: List[Tuple[Any, CampaignConfig]] = list(items)
+        #: (task id, config, attempt number) still to dispatch.
+        pending: List[Tuple[Any, CampaignConfig, int]] = [
+            (key, config, 0) for key, config in items
+        ]
         if not pending:
             return outcome
 
@@ -570,14 +545,10 @@ class WorkQueueExecutor(Executor):
         live = _live_coordinator(live_dir, self.stats, progress)
         inflight: Dict[int, _InFlight] = {}
         idle: List[int] = []
-        error_attempts: Dict[Any, int] = {}
-        death_requeues: Dict[Any, int] = {}
-        restarts_left = self.worker_restarts
+        #: Tasks whose last attempt already got its one free re-run.
+        reruns: set = set()
+        restarts_left = 2 * self.workers
         next_wid = worker_count
-        #: Extra dispatches allowed when a *worker* dies (as opposed to
-        #: the task itself failing): at least one, so a single kill -9
-        #: never takes the whole run down.
-        death_budget = max(1, retries)
 
         def dispatch(wid: int) -> None:
             if size_fn is not None:
@@ -586,14 +557,14 @@ class WorkQueueExecutor(Executor):
                 )
             else:
                 best = 0
-            key, config = pending.pop(best)
-            if splitter is not None and size_fn is not None and key not in death_requeues:
+            key, config, attempt = pending.pop(best)
+            if splitter is not None and size_fn is not None and key not in outcome.walls:
                 remaining = size_fn(config) + sum(
-                    size_fn(c) for _k, c in pending
+                    size_fn(c) for _k, c, _a in pending
                 ) + sum(size_fn(f.config) for f in inflight.values())
                 target = max(
                     self.min_split_phones,
-                    -(-remaining // (max(1, len(processes)) * self.oversubscribe)),
+                    -(-remaining // (max(1, len(processes)) * OVERSUBSCRIBE)),
                 )
                 while (
                     size_fn(config) > target
@@ -604,7 +575,7 @@ class WorkQueueExecutor(Executor):
                         break
                     config, other = halves
                     key = config.fleet.phone_range
-                    pending.append((other.fleet.phone_range, other))
+                    pending.append((other.fleet.phone_range, other, 0))
                     self.stats.steals += 1
                     tel.instant(
                         "steal split",
@@ -613,15 +584,14 @@ class WorkQueueExecutor(Executor):
                         key=str(key),
                         stolen=str(other.fleet.phone_range),
                     )
-            inboxes[wid].put(("task", key, config))
-            inflight[wid] = _InFlight(key, config, perf_counter())
+            inboxes[wid].put(("task", key, config, attempt))
+            inflight[wid] = _InFlight(key, config, attempt, perf_counter())
 
         def requeue(wid: int, reason: str, info: FailureInfo) -> None:
             """A worker lost its task; retry it or record the failure."""
             flight = inflight.pop(wid)
-            outcome.walls.setdefault(flight.key, []).append(
-                perf_counter() - flight.started_at
-            )
+            walls = outcome.walls.setdefault(flight.key, [])
+            walls.append(perf_counter() - flight.started_at)
             tel.instant(
                 "task requeue",
                 category="executor",
@@ -629,22 +599,18 @@ class WorkQueueExecutor(Executor):
                 key=str(flight.key),
                 reason=reason,
             )
-            if reason == "error":
-                error_attempts[flight.key] = error_attempts.get(flight.key, 0) + 1
-                if error_attempts[flight.key] <= retries:
-                    self.stats.task_retries += 1
-                    pending.append((flight.key, flight.config))
-                    return
+            if flight.attempt < retries:
+                attempt = flight.attempt + 1
+            elif reason != "error" and flight.key not in reruns:
+                # The worker, not the task, may be at fault: re-run the
+                # same attempt once, so one kill -9 never fails a run.
+                reruns.add(flight.key)
+                attempt = flight.attempt
             else:
-                death_requeues[flight.key] = death_requeues.get(flight.key, 0) + 1
-                if death_requeues[flight.key] <= death_budget:
-                    self.stats.task_retries += 1
-                    pending.append((flight.key, flight.config))
-                    return
-            attempts = error_attempts.get(flight.key, 0) + death_requeues.get(
-                flight.key, 0
-            )
-            outcome.failed[flight.key] = (flight.config, info, attempts)
+                outcome.failed[flight.key] = (flight.config, info, len(walls))
+                return
+            self.stats.task_retries += 1
+            pending.append((flight.key, flight.config, attempt))
 
         def respawn(dead_wid: int) -> None:
             nonlocal restarts_left, next_wid
@@ -681,7 +647,7 @@ class WorkQueueExecutor(Executor):
                 if not processes:
                     # Every worker is gone and nothing can respawn:
                     # surface whatever was still queued as failures.
-                    for key, config in pending:
+                    for key, config, _attempt_number in pending:
                         outcome.failed.setdefault(
                             key,
                             (
@@ -692,8 +658,7 @@ class WorkQueueExecutor(Executor):
                                     "be restarted",
                                     "",
                                 ),
-                                error_attempts.get(key, 0)
-                                + death_requeues.get(key, 0),
+                                len(outcome.walls.get(key, [])),
                             ),
                         )
                     pending.clear()
@@ -708,7 +673,7 @@ class WorkQueueExecutor(Executor):
                     )
                 message = None
                 senders = {reader: wid for wid, reader in outboxes.items()}
-                for reader in wait(list(senders), timeout=self.poll_interval):
+                for reader in wait(list(senders), timeout=POLL_INTERVAL):
                     try:
                         message = reader.recv()
                         break
@@ -763,18 +728,18 @@ class WorkQueueExecutor(Executor):
                         idle.remove(wid)
                         respawn(wid)
                     continue
-                kind, wid, task_id, payload = message
+                kind, wid, _task_id, info = message
                 if kind == "done":
                     flight = inflight.pop(wid, None)
                     if flight is not None:
                         outcome.walls.setdefault(flight.key, []).append(
                             perf_counter() - flight.started_at
                         )
-                        outcome.completed[flight.key] = (flight.config, payload)
+                        outcome.completed[flight.key] = flight.config
                         if on_done is not None:
-                            on_done(flight.key, payload)
+                            on_done(flight.key, flight.config)
                 elif kind == "error":
-                    requeue(wid, "error", payload)
+                    requeue(wid, "error", info)
                 if pending:
                     dispatch(wid)
                 else:
@@ -807,17 +772,12 @@ class WorkQueueExecutor(Executor):
         return outcome
 
 
-def get_executor(
-    spec: Union[str, Executor, None], workers: int
-) -> Executor:
-    """Resolve a backend name (or pass an instance through).
+def get_executor(spec: Optional[str], workers: int) -> Executor:
+    """Resolve a backend name.
 
-    ``None`` means the work queue.  ``workers == 1`` always resolves
-    names to the serial backend — a one-worker queue is pure overhead —
-    but an explicit :class:`Executor` instance is honoured as given.
+    ``None`` means the work queue.  ``workers == 1`` always resolves to
+    the serial backend — a one-worker queue is pure overhead.
     """
-    if isinstance(spec, Executor):
-        return spec
     name = EXECUTOR_WORKQUEUE if spec is None else str(spec)
     if name not in EXECUTORS:
         raise ValueError(

@@ -1,52 +1,54 @@
 """Parallel multi-seed campaign runner with self-healing execution.
 
 Every multi-seed study used to loop :func:`run_campaign` serially at
-several seconds per paper-scale run.  :func:`run_campaigns` fans the
-runs out over the work-queue executor instead (see
-:mod:`repro.experiments.executors`):
+several seconds per paper-scale run.  :func:`run_campaigns` hands the
+runs to the executor instead (see :mod:`repro.experiments.executors`),
+the same dispatch path a sharded campaign takes:
 
-* results come back as picklable :class:`CampaignSummary` objects, in
-  **deterministic config order** regardless of completion order;
-* a failing worker surfaces as :class:`CampaignExecutionError` carrying
-  the failing config's seed, position, attempt count, phone range (for
-  sharded slices), and the worker's full traceback;
+* each campaign's :class:`CampaignSummary` is committed to a
+  :class:`~repro.experiments.cache.CampaignCache` directory before it
+  is acknowledged — the sweep's ``cache``, else a private temp dir
+  removed afterwards — and loaded back in **deterministic config
+  order** regardless of completion order;
+* a failing campaign surfaces as :class:`CampaignExecutionError`
+  carrying the failing config's seed, position, attempt count, phone
+  range (for sharded slices), and the worker's full traceback;
 * ``workers=1`` (or an environment where worker processes cannot start
-  — sandboxes, restricted interpreters) degrades gracefully to
-  in-process serial execution with identical results; a fallback is
-  counted in ``executor.serial_fallbacks_total``;
-* an optional :class:`~repro.experiments.cache.CampaignCache` makes
-  repeated sweeps free: cached configs are never dispatched at all,
-  and every fresh result is **committed to the cache the moment it
-  completes** — a killed sweep resumes from its last completed
+  — sandboxes, restricted interpreters) runs in-process with identical
+  results; a fallback is counted in ``executor.serial_fallbacks_total``;
+* with a ``cache``, repeated sweeps are free: cached configs are never
+  dispatched at all, and every fresh result is durable the moment it
+  completes — a killed sweep resumes from its last completed
   campaign, not from scratch;
-* ``retries`` re-runs a failed campaign (transient worker crashes heal
-  without losing the sweep), and ``timeout`` arms a watchdog that
-  reclaims hung workers instead of blocking the whole sweep;
+* ``retries`` re-runs a failed campaign in a worker (transient worker
+  crashes heal without losing the sweep, counted in
+  ``executor.task_retries_total``), and ``timeout`` arms a watchdog
+  that reclaims hung workers instead of blocking the whole sweep;
 * :func:`run_campaigns_resilient` returns a :class:`SweepManifest` —
   partial results plus a structured failure manifest — instead of
   aborting the entire sweep on one bad campaign.
 
 Determinism holds because each campaign derives every random stream
 from its own config's seed — worker scheduling cannot reorder anything
-inside a run, and the output list is ordered by input position.  Retry
-rounds run serially in index order, so a healed sweep is bit-for-bit
-identical to one that never failed (given a deterministic task).
+inside a run, a retry re-runs the same config, and the output list is
+ordered by input position — so a healed sweep is bit-for-bit identical
+to one that never failed (given a deterministic task).
 """
 
 from __future__ import annotations
 
+import json
+import shutil
+import tempfile
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
+    EXECUTOR_WORKQUEUE,
     CampaignExecutionError,
-    Executor,
-    ExecutorStats,
-    FailureInfo,
-    format_failure,
     get_executor,
 )
 from repro.experiments.summary import CampaignSummary
@@ -79,7 +81,7 @@ class CampaignFailure:
     message: str
     traceback: str
     attempts: int
-    #: Runner-observed wall seconds of each attempt, in attempt order;
+    #: Executor-observed wall seconds of each attempt, in attempt order;
     #: one entry per counted attempt.  A hung worker shows up as an
     #: attempt pinned near the watchdog deadline.
     attempt_wall_seconds: List[float] = field(default_factory=list)
@@ -178,13 +180,10 @@ class TelemetryTask:
 
     Each invocation installs a fresh :class:`Telemetry` at ``level``
     for the duration of its campaign, so worker processes never share
-    registries; the snapshot rides back to the runner inside the
-    summary (plain JSON, no pickling of live telemetry objects), where
+    registries; the snapshot rides home inside the committed summary
+    (plain JSON, no pickling of live telemetry objects), where
     :func:`merged_metrics` folds the fleet back together.
     """
-
-    #: The runner may pass the attempt number; it does not change rolls.
-    accepts_attempt = False
 
     def __init__(self, level: str = TELEMETRY_METRICS) -> None:
         self.level = level
@@ -198,11 +197,10 @@ class TelemetryTask:
 def run_campaigns(
     configs: Sequence[CampaignConfig],
     workers: int = 1,
-    cache: Optional[object] = None,
+    cache: Optional[CampaignCache] = None,
     task: Callable[[CampaignConfig], CampaignSummary] = summarize_campaign,
     retries: int = 0,
     timeout: Optional[float] = None,
-    executor: Union[str, Executor, None] = None,
     on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
 ) -> List[CampaignSummary]:
     """Run many campaigns, fanned out over ``workers`` processes.
@@ -211,10 +209,9 @@ def run_campaigns(
         configs: the campaigns to run; the result list matches this
             order exactly.
         workers: process count; ``1`` runs serially in-process.
-        cache: an object with ``get(config)``/``put(config, summary)``
-            (see :class:`~repro.experiments.cache.CampaignCache`);
-            hits skip execution entirely, fresh results are committed
-            as soon as they complete.
+        cache: a :class:`~repro.experiments.cache.CampaignCache`; hits
+            skip execution entirely, and fresh results are committed
+            to its directory as soon as they complete.
         task: the per-config work function.  Must be picklable when
             ``workers > 1``.  A task with an ``accepts_attempt``
             attribute is called as ``task(config, attempt=n)``.
@@ -224,9 +221,6 @@ def run_campaigns(
             and the campaign is retried or reported.  Serial execution
             cannot be preempted, so the watchdog only arms the work
             queue.
-        executor: backend name (``"workqueue"``, ``"serial"``) or an
-            :class:`Executor` instance; ``None`` means the work queue
-            when ``workers > 1``.
         on_complete: observer called once per campaign as
             ``on_complete(index, summary)`` the moment its result is
             available — cache hits included — in completion order.
@@ -238,9 +232,7 @@ def run_campaigns(
             ``.seed``, ``.index``, ``.attempts``, ``.phone_range``, and
             ``.traceback`` identify and explain the failing config.
     """
-    manifest = _execute(
-        configs, workers, cache, task, retries, timeout, executor, on_complete
-    )
+    manifest = _execute(configs, workers, cache, task, retries, timeout, on_complete)
     if manifest.failures:
         first = manifest.failures[0]
         raise CampaignExecutionError(
@@ -257,11 +249,10 @@ def run_campaigns(
 def run_campaigns_resilient(
     configs: Sequence[CampaignConfig],
     workers: int = 1,
-    cache: Optional[object] = None,
+    cache: Optional[CampaignCache] = None,
     task: Callable[[CampaignConfig], CampaignSummary] = summarize_campaign,
     retries: int = 1,
     timeout: Optional[float] = None,
-    executor: Union[str, Executor, None] = None,
     on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
 ) -> SweepManifest:
     """Like :func:`run_campaigns`, but never aborts the sweep.
@@ -271,168 +262,81 @@ def run_campaigns_resilient(
     summaries that did complete.  A sweep hit by transient faults
     degrades to partial results with a diagnosis, not an exception.
     """
-    return _execute(
-        configs, workers, cache, task, retries, timeout, executor, on_complete
-    )
+    return _execute(configs, workers, cache, task, retries, timeout, on_complete)
 
 
-# -- execution engine -----------------------------------------------------------
-
-
-def _call(
-    task: Callable[..., CampaignSummary],
-    config: CampaignConfig,
-    attempt: int,
-) -> CampaignSummary:
-    if getattr(task, "accepts_attempt", False):
-        return task(config, attempt=attempt)
-    return task(config)
-
-
-def _timed_call(
-    tel: Telemetry,
-    task: Callable[..., CampaignSummary],
-    config: CampaignConfig,
-    index: int,
-    attempt: int,
-    walls: Dict[int, List[float]],
-) -> CampaignSummary:
-    """One serial attempt under a runner span, wall time recorded.
-
-    The wall measurement feeds the failure manifest whether or not the
-    attempt (or telemetry) succeeds, so a manifest always explains
-    where the sweep's time went.
-    """
-    start = perf_counter()
-    try:
-        with tel.span(
-            "campaign.attempt",
-            category="runner",
-            track="runner",
-            index=index,
-            seed=config.seed,
-            attempt=attempt,
-        ):
-            return _call(task, config, attempt=attempt)
-    finally:
-        walls.setdefault(index, []).append(perf_counter() - start)
+def _load_summary(path: str) -> CampaignSummary:
+    """A committed summary, read back without touching cache tallies."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return CampaignSummary.from_dict(json.load(handle)["summary"])
 
 
 def _execute(
     configs: Sequence[CampaignConfig],
     workers: int,
-    cache: Optional[object],
+    cache: Optional[CampaignCache],
     task: Callable[..., CampaignSummary],
     retries: int,
     timeout: Optional[float],
-    executor: Union[str, Executor, None] = None,
-    on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
+    on_complete: Optional[Callable[[int, CampaignSummary], None]],
 ) -> SweepManifest:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    backend = get_executor(executor, workers)
-    # Tallies are per run: the one mirror below must not re-add an
-    # earlier run's counts when a caller reuses an executor instance.
-    backend.stats = ExecutorStats(backend=backend.name)
+    backend = get_executor(None, workers)
     configs = list(configs)
     results: List[Optional[CampaignSummary]] = [None] * len(configs)
-
-    pending: List[int] = []
-    notified: set = set()
-
-    def notify(index: int, summary: CampaignSummary) -> None:
-        if on_complete is not None and index not in notified:
-            notified.add(index)
-            on_complete(index, summary)
-
+    pending: List[Tuple[int, CampaignConfig]] = []
     for index, config in enumerate(configs):
         hit = cache.get(config) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-            notify(index, hit)
-        else:
-            pending.append(index)
+        if hit is None:
+            pending.append((index, config))
+            continue
+        results[index] = hit
+        if on_complete is not None:
+            on_complete(index, hit)
+    if not pending:
+        return SweepManifest(summaries=results)
 
-    def commit(index: int, summary: CampaignSummary) -> None:
-        """Durably store one completed campaign the moment it lands."""
-        results[index] = summary
-        if cache is not None:
-            cache.put(configs[index], summary)
-        notify(index, summary)
+    commits = cache if cache is not None else CampaignCache(
+        tempfile.mkdtemp(prefix="repro-sweep-")
+    )
 
-    failed: Dict[int, FailureInfo] = {}
-    attempts: Dict[int, int] = {index: 1 for index in pending}
-    walls: Dict[int, List[float]] = {}
-    #: Indices that ran on the parallel backend, under its watchdog.
-    watched: set = set()
+    def land(index: int, config: CampaignConfig) -> None:
+        results[index] = _load_summary(commits.path_for(config))
+        if on_complete is not None:
+            on_complete(index, results[index])
+
     tel = current_telemetry()
-    recovered = 0
-    if pending:
-        serial = list(pending)
-        if len(pending) > 1:
-            outcome = backend.execute(configs, pending, task, timeout, tel, commit)
-            serial = outcome.serial
-            watched = set(pending) - set(serial)
-            walls.update(outcome.walls)
-            for index, (_config, info, tries) in outcome.failed.items():
-                failed[index] = info
-                attempts[index] = tries
-        for index in serial:
-            try:
-                summary = _timed_call(tel, task, configs[index], index, 0, walls)
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                failed[index] = format_failure(exc)
-            else:
-                commit(index, summary)
-
-        # Retry rounds: serial, in index order, so a healed sweep is
-        # deterministic regardless of what failed where.
-        retry_series = (
-            tel.registry.counter(
-                "runner.retries_total", help="campaign retry attempts"
-            ).series()
-            if tel.metrics
-            else None
+    try:
+        outcome = backend.run(
+            pending,
+            task,
+            commits.directory,
+            tel,
+            retries=retries,
+            timeout=timeout,
+            on_done=land,
         )
-        for retry in range(1, retries + 1):
-            if not failed:
-                break
-            for index in sorted(failed):
-                attempts[index] += 1
-                if retry_series is not None:
-                    retry_series.value += 1.0
-                try:
-                    summary = _timed_call(
-                        tel, task, configs[index], index, retry, walls
-                    )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    failed[index] = format_failure(exc)
-                else:
-                    del failed[index]
-                    recovered += 1
-                    commit(index, summary)
-
+    finally:
+        if cache is None:
+            shutil.rmtree(commits.directory, ignore_errors=True)
     backend.stats.sample(tel)
+    watched = backend.name == EXECUTOR_WORKQUEUE and not backend.stats.serial_fallbacks
     failures = [
         CampaignFailure(
             index=index,
-            seed=configs[index].seed,
-            error_type=failed[index][0],
-            message=failed[index][1],
-            traceback=failed[index][2],
-            attempts=attempts[index],
-            attempt_wall_seconds=walls.get(index, []),
-            watchdog_seconds=timeout if index in watched else None,
-            phone_range=configs[index].fleet.phone_range,
+            seed=config.seed,
+            error_type=info[0],
+            message=info[1],
+            traceback=info[2],
+            attempts=attempts,
+            attempt_wall_seconds=outcome.walls.get(index, []),
+            watchdog_seconds=timeout if watched else None,
+            phone_range=config.fleet.phone_range,
         )
-        for index in sorted(failed)
+        for index, (config, info, attempts) in sorted(outcome.failed.items())
     ]
-    return SweepManifest(
-        summaries=results, failures=failures, recovered=recovered
-    )
+    recovered = sum(1 for index in outcome.completed if len(outcome.walls[index]) > 1)
+    return SweepManifest(summaries=results, failures=failures, recovered=recovered)

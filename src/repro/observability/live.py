@@ -478,6 +478,17 @@ def _windowed_rate(
     return max(0.0, (latest_value - ref_value) / (latest_wall - ref_wall))
 
 
+def _is_newer(record: Dict[str, Any], held: Dict[str, Any]) -> bool:
+    """Whether ``record`` was written no earlier than ``held``.
+
+    Runs sharing a directory each write campaign and coordinator
+    records into files of their own, read in name order; the latest
+    by wall clock belongs to the run being watched.
+    """
+    wall = record.get("wall")
+    return isinstance(wall, (int, float)) and wall >= held.get("wall", wall)
+
+
 class LiveFolder:
     """Tails a run directory's op-log and folds it into KPI snapshots.
 
@@ -517,9 +528,11 @@ class LiveFolder:
                 if self._first_wall is None or wall < self._first_wall:
                     self._first_wall = wall
             if kind == "campaign":
-                self._campaign = record
+                if _is_newer(record, self._campaign):
+                    self._campaign = record
             elif kind == "coordinator":
-                self._coordinator = record
+                if _is_newer(record, self._coordinator):
+                    self._coordinator = record
             elif kind in ("start", "heartbeat", "end"):
                 stream = record.get("stream")
                 if not isinstance(stream, str):
@@ -532,13 +545,20 @@ class LiveFolder:
     # -- committed shards --------------------------------------------------------
 
     def _scan_committed(self) -> None:
-        """Fold newly committed shard files, adopting disjoint ranges."""
+        """Fold newly committed shard files of the announced campaign.
+
+        Adoption follows the resume planner's rules: a shard belongs
+        to the campaign whose config equals its own with the slice
+        erased, and overlapping ranges are adopted greedily, earliest
+        start first.
+        """
         # Imported lazily: experiments.shard imports the fleet, which
         # imports this module's writer hook.
-        from repro.experiments.shard import load_shard_file
+        from repro.experiments.shard import _campaign_identity, load_shard_file
 
         if not os.path.isdir(self.run_dir):
             return
+        campaign = self._campaign.get("config")
         fresh = []
         for name in sorted(os.listdir(self.run_dir)):
             if not name.endswith(".json") or name in self._folded_files:
@@ -548,6 +568,9 @@ class LiveFolder:
                 result = load_shard_file(path)
             except (ValueError, KeyError, OSError):
                 continue  # foreign, corrupt, or still being written
+            if campaign is not None and _campaign_identity(result.config) != campaign:
+                self._folded_files.add(name)  # another campaign's shard
+                continue
             fresh.append((result.phone_range, name, result))
         # Greedy earliest-start adoption, the resume planner's rule:
         # overlapping commits (possible only across re-tiled attempts)
@@ -713,8 +736,9 @@ class LiveFolder:
 class LiveCoordinator:
     """The workqueue coordinator's live duties, wall-clock throttled.
 
-    Heartbeats executor state (pending/in-flight work, steal/retry/
-    restart/watchdog counts, coordinator RSS) into the op-log, and
+    Heartbeats executor state (pending/in-flight work, every
+    :class:`~repro.experiments.executors.ExecutorStats` tally,
+    coordinator RSS) into the op-log, and
     periodically tails + folds the whole op-log into a
     :class:`LiveSnapshot` — writing ``metrics.prom`` and invoking the
     ``progress`` callback on each fold.
@@ -758,13 +782,8 @@ class LiveCoordinator:
                 "rss_kb": _peak_rss_kb(),
             }
             if self.stats is not None:
-                fields.update(
-                    steals=self.stats.steals,
-                    task_retries=self.stats.task_retries,
-                    resumed_shards=self.stats.resumed_shards,
-                    worker_restarts=self.stats.worker_restarts,
-                    watchdog_fires=self.stats.watchdog_fires,
-                )
+                for attr in _executor_tallies():
+                    fields[attr] = getattr(self.stats, attr)
             self.writer.coordinator(**fields)
         if force or _elapsed(self._last_fold, now, self.fold_interval):
             self._last_fold = now
@@ -781,16 +800,17 @@ class LiveCoordinator:
 
 # -- prometheus exposition ------------------------------------------------------
 
-#: Coordinator heartbeat fields exported as executor gauges.
-_COORDINATOR_GAUGES = (
-    "steals",
-    "task_retries",
-    "worker_restarts",
-    "watchdog_fires",
-    "resumed_shards",
-    "inflight",
-    "pending",
-)
+def _executor_tallies() -> List[str]:
+    """Every :class:`~repro.experiments.executors.ExecutorStats` tally."""
+    # Imported lazily, like experiments.shard above.
+    from repro.experiments.executors import _STATS_COUNTERS
+
+    return [attr for attr, _name, _help in _STATS_COUNTERS]
+
+
+def _coordinator_gauges() -> List[str]:
+    """Coordinator heartbeat fields exported as executor gauges."""
+    return _executor_tallies() + ["inflight", "pending"]
 
 
 def prom_gauges(snapshot: LiveSnapshot) -> Dict[str, float]:
@@ -812,7 +832,7 @@ def prom_gauges(snapshot: LiveSnapshot) -> Dict[str, float]:
         gauges["live_eta_seconds"] = float(snapshot.eta_seconds)
     for key, value in snapshot.kpis.items():
         gauges[f"live_kpi_{key}"] = float(value)
-    for key in _COORDINATOR_GAUGES:
+    for key in _coordinator_gauges():
         value = snapshot.coordinator.get(key)
         if isinstance(value, (int, float)):
             gauges[f"live_executor_{key}"] = float(value)
@@ -925,15 +945,7 @@ def render_dashboard(snapshot: LiveSnapshot, width: int = 78) -> str:
             "executor   "
             + " · ".join(
                 f"{key} {coordinator[key]}"
-                for key in (
-                    "steals",
-                    "task_retries",
-                    "worker_restarts",
-                    "watchdog_fires",
-                    "resumed_shards",
-                    "inflight",
-                    "pending",
-                )
+                for key in _coordinator_gauges()
                 if key in coordinator
             )
         )

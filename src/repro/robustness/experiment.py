@@ -332,8 +332,9 @@ def run_resilience_probe(
     Runs ``seeds`` campaigns through the parallel runner with a
     :class:`FaultyCampaignTask` (injected crashes/stalls, healed by
     retry and the watchdog), then corrupts every cache entry in place
-    and sweeps again — the cache must evict the garbage, recompute, and
-    still return a complete result set.
+    and sweeps again under the same worker count, retries and watchdog
+    — the cache must evict the garbage, recompute, and still return a
+    complete result set.
     """
     from dataclasses import replace
 
@@ -361,10 +362,11 @@ def run_resilience_probe(
                 )
         second = run_campaigns_resilient(
             configs,
-            workers=1,
+            workers=workers,
             cache=cache,
             task=task,
             retries=retries,
+            timeout=timeout,
         )
         completed = sum(
             1 for summary in second.summaries if summary is not None

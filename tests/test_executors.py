@@ -86,9 +86,6 @@ def test_get_executor_resolution():
     assert isinstance(get_executor(EXECUTOR_WORKQUEUE, 1), SerialExecutor)
     queue = get_executor(EXECUTOR_WORKQUEUE, 2)
     assert isinstance(queue, WorkQueueExecutor) and queue.workers == 2
-    # Instances pass through untouched (caller-configured backends).
-    custom = WorkQueueExecutor(2, min_split_phones=4)
-    assert get_executor(custom, 8) is custom
     with pytest.raises(ValueError, match="unknown executor"):
         get_executor("threads", 4)
     with pytest.raises(ValueError, match="workers"):
@@ -130,19 +127,7 @@ def test_executor_stats_shape_and_single_mirror():
 
 def test_workqueue_runner_matches_serial(serial_summaries):
     configs = [tiny_config(seed) for seed in SEEDS]
-    summaries = run_campaigns(
-        configs, workers=2, executor=EXECUTOR_WORKQUEUE
-    )
-    assert [canonical(s) for s in summaries] == [
-        canonical(s) for s in serial_summaries
-    ]
-
-
-def test_executor_instance_accepted_by_runner(serial_summaries):
-    configs = [tiny_config(seed) for seed in SEEDS]
-    summaries = run_campaigns(
-        configs, workers=4, executor=SerialExecutor()
-    )
+    summaries = run_campaigns(configs, workers=2)
     assert [canonical(s) for s in summaries] == [
         canonical(s) for s in serial_summaries
     ]
@@ -166,21 +151,19 @@ def test_unstartable_workers_fall_back_to_serial_visibly(
     monkeypatch, serial_summaries
 ):
     """A sweep whose workers cannot start still completes in-process —
-    and says so: a tally, a registry counter, and a trace instant."""
+    and says so: a registry counter and a trace instant."""
     context = _NoStartContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
-    backend = WorkQueueExecutor(2)
     tel = Telemetry(TELEMETRY_TRACE)
     with tel.installed():
         summaries = run_campaigns(
-            [tiny_config(seed) for seed in SEEDS], workers=2, executor=backend
+            [tiny_config(seed) for seed in SEEDS], workers=2
         )
     # The in-process campaigns ran under the installed telemetry, so
     # only their results, not their telemetry snapshots, are compared.
     assert [s.sections for s in summaries] == [
         s.sections for s in serial_summaries
     ]
-    assert backend.stats.serial_fallbacks == 1
     totals = tel.registry.counter_totals()
     assert totals["executor.serial_fallbacks_total"] == 1.0
     assert len(tel.tracer.spans_named("serial fallback")) == 1

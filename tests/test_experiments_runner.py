@@ -26,6 +26,7 @@ from repro.experiments.summary import (
     SUMMARY_FORMAT_VERSION,
     CampaignSummary,
 )
+from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 from repro.phone.fleet import FleetConfig
 
 SEEDS = [7, 8, 9]
@@ -69,6 +70,23 @@ class HangTask:
     def __call__(self, config: CampaignConfig, attempt: int = 0):
         if config.seed == 8 and attempt == 0:
             time.sleep(3.0)
+        return summarize_campaign(config)
+
+
+class PidRecordingFlakyTask:
+    """Fails seed 8's first attempt; records which process ran each try."""
+
+    accepts_attempt = True
+
+    def __init__(self, record_dir: str) -> None:
+        self.record_dir = record_dir
+
+    def __call__(self, config: CampaignConfig, attempt: int = 0):
+        path = os.path.join(self.record_dir, f"{config.seed}-{attempt}.pid")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        if config.seed == 8 and attempt == 0:
+            raise ValueError("transient worker fault")
         return summarize_campaign(config)
 
 
@@ -282,6 +300,47 @@ class TestSelfHealing:
         assert failure.watchdog_seconds == 1.0
 
 
+    def test_single_campaign_sweep_arms_watchdog(self):
+        """A lone pending campaign still runs on the queue, under its
+        watchdog, when ``workers > 1``."""
+        start = time.perf_counter()
+        manifest = run_campaigns_resilient(
+            [tiny_config(8)],
+            workers=2,
+            task=HangTask(),
+            retries=0,
+            timeout=1.0,
+        )
+        (failure,) = manifest.failures
+        assert failure.index == 0
+        assert failure.error_type == "WorkerTimeout"
+        assert failure.watchdog_seconds == 1.0
+        assert all(wall < 3.0 for wall in failure.attempt_wall_seconds)
+        assert time.perf_counter() - start < 2 * 3.0
+
+    def test_retry_heals_in_a_worker_process(self, tmp_path, serial_summaries):
+        """The healing attempt runs in a worker, never in the sweep's
+        parent, and is counted once in ``executor.task_retries_total``."""
+        tel = Telemetry(TELEMETRY_METRICS)
+        with tel.installed():
+            manifest = run_campaigns_resilient(
+                [tiny_config(seed) for seed in SEEDS],
+                workers=2,
+                task=PidRecordingFlakyTask(str(tmp_path)),
+                retries=1,
+            )
+        assert manifest.complete and manifest.recovered == 1
+        assert [s.sections for s in manifest.summaries] == [
+            s.sections for s in serial_summaries
+        ]
+        with open(tmp_path / "8-1.pid", encoding="utf-8") as handle:
+            healer = int(handle.read())
+        assert healer != os.getpid()
+        totals = tel.registry.counter_totals()
+        assert totals["executor.task_retries_total"] == 1.0
+        assert "runner.retries_total" not in totals
+
+
 class TestCacheIntegration:
     def test_cached_rerun_hits_and_skips_execution(
         self, tmp_path, serial_summaries
@@ -299,6 +358,20 @@ class TestCacheIntegration:
         assert [s.to_dict() for s in first] == [
             s.to_dict() for s in serial_summaries
         ]
+
+    def test_parallel_sweep_commits_into_cache(self, tmp_path, serial_summaries):
+        """Workers commit straight into the sweep's cache; what the
+        runner reads back equals the serial in-memory summaries."""
+        cache = CampaignCache(str(tmp_path))
+        configs = [tiny_config(seed) for seed in SEEDS]
+        first = run_campaigns(configs, workers=2, cache=cache)
+        assert [s.to_dict() for s in first] == [
+            s.to_dict() for s in serial_summaries
+        ]
+        assert len(cache) == len(SEEDS)
+        second = run_campaigns(configs, workers=2, cache=cache, task=explode_task)
+        assert cache.hits == len(SEEDS)
+        assert [s.to_dict() for s in second] == [s.to_dict() for s in first]
 
     def test_partial_cache_runs_only_misses(self, tmp_path):
         cache = CampaignCache(str(tmp_path))

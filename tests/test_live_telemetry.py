@@ -344,6 +344,30 @@ class TestExactlyOnceFold:
             assert row.done
 
 
+    def test_fold_adopts_only_the_announced_campaigns_shards(
+        self, tmp_path, config
+    ):
+        """A run directory that also holds another seed's shards (same
+        ranges): the fold, its KPIs and its event count are the
+        announced run's alone."""
+        foreign = CampaignConfig(fleet=config.fleet, seed=config.seed + 1)
+        run_sharded_campaign(
+            foreign, shards=4, cache=shard_cache(str(tmp_path)), live=True
+        )
+        result = run_sharded_campaign(
+            config, shards=4, cache=shard_cache(str(tmp_path)), live=True
+        )
+        snapshot = LiveFolder(str(tmp_path)).fold()
+        assert snapshot.campaign["seed"] == config.seed
+        assert snapshot.committed_phones == config.fleet.phone_count
+        assert snapshot.events_fired == result.events_fired
+        availability = result.summary.sections["availability"]
+        assert (
+            snapshot.kpis["mtbf_freeze_hours"]
+            == availability["mtbf_freeze_hours"]
+        )
+
+
 # -- the differential gate ------------------------------------------------------
 
 
@@ -483,6 +507,8 @@ class TestPrometheus:
         gauges = prom_gauges(snapshot)
         assert gauges["live_phones_committed"] == config.fleet.phone_count
         assert gauges["live_shards_committed"] == 2.0
+        assert gauges["live_executor_serial_fallbacks"] == 0.0
+        assert gauges["live_executor_respawn_failures"] == 0.0
         text = write_prom_snapshot(str(tmp_path), snapshot)
         assert "repro_live_phones_committed 20" in text
         assert "repro_live_kpi_mtbf_freeze_hours" in text
